@@ -37,7 +37,8 @@ print("both residuals tie: the optimum sits where neither target can improve")
 print("without hurting the other.")
 print()
 
-# The solver is a subgradient method; an exhaustive grid double-checks it.
+# On EuclideanGram the solver is an exact active-set method with a certified
+# duality gap; an exhaustive grid double-checks it independently.
 value, g_grid = oracle_solve(problem, radius=2.0, resolution=401)
 print(f"grid search over [-2, 2]: value {value:.6f} at {np.round(g_grid, 6)}")
 print()

@@ -6,19 +6,27 @@ and a nonzero direction b, the central problem is
     minimize over g in G:   objective(g) = max_i ||f_i - g, b||.
 
 The objective is a max of seminorms of affine arguments, hence convex and
-1-Lipschitz with respect to p_b, but generally nonsmooth.  ``solve`` runs a
-multi-start subgradient method: a 1/sqrt(t) warm-up schedule followed by a
-target-level refinement stage (Polyak steps toward a level just below the
-incumbent, with the level gap shrunk whenever a round stops being productive
-at its current scale) that polishes the incumbent far beyond what the plain
-schedule reaches.  ``oracle_solve`` is an
-independent exhaustive grid search (k <= 3) used as ground truth in tests.
+1-Lipschitz with respect to p_b, but generally nonsmooth.  Writing
+p_b(u) = |M_b u| (see :func:`~pairnorm.spaces.seminorm_map`), each space has
+one engine:
 
-``distance_to_subspace`` specializes to one target (solved exactly for
-``EuclideanGram`` via least squares on b-orthogonal projections),
-``certificate`` builds the dual functional witnessing that distance, and
-``blend_check`` / ``uniqueness_probe`` exercise convexity of the argmin set
-and uniqueness of minimizers.
+* ``EuclideanGram`` (l2 norm) is solved exactly.  Projecting out b and
+  QR-factoring the projected basis turns the problem into a smallest
+  enclosing ball under power distance, min_x max_i |x - q_i|^2 + w_i
+  (Gaertner 1999).  A primal-dual active-set method on the dual simplex
+  solves it in a handful of pivots, and every dual iterate lam certifies the
+  lower bound D(lam) <= value^2, so convergence is a certified gap.
+* ``WhitePolynomial`` (l1 norm) runs a multi-start subgradient method: a
+  1/sqrt(t) warm-up schedule followed by a target-level refinement stage
+  (Polyak steps toward a level just below the incumbent, with the level gap
+  shrunk whenever a round stops being productive at its current scale).
+
+``oracle_solve`` is an independent exhaustive grid search (k <= 3) used as
+ground truth in tests.  ``distance_to_subspace`` and ``set_distance``
+specialize the problem to one target and to a set, ``certificate`` builds
+the dual functional witnessing a Euclidean distance, and ``blend_check`` /
+``uniqueness_probe`` exercise convexity of the argmin set and uniqueness of
+minimizers.
 """
 
 from __future__ import annotations
@@ -63,7 +71,20 @@ __all__ = [
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Knobs for the multi-start subgradient solver."""
+    """Engine knobs; what they mean depends on the space.
+
+    * ``restarts``: starts per solve, the origin plus seeded (``seed``)
+      Gaussian points scaled by twice the largest target coordinate.
+    * ``max_iters``: on ``EuclideanGram`` the cap on active-set pivots of
+      each restart; on ``WhitePolynomial`` the subgradient iterations, shared
+      by all restarts.
+    * ``tol``: on ``EuclideanGram`` a restart converges when its certified
+      gap sqrt(P) - sqrt(D) is at most ``tol * (1 + sqrt(P))``, P the primal
+      and D the dual value; on ``WhitePolynomial`` when its best value
+      improved by less than ``tol`` over the last 50 iterations.
+    * ``step0``: the warm-up step length of the subgradient method
+      (``WhitePolynomial`` only).
+    """
 
     max_iters: int = 20000
     tol: float = 1e-6
@@ -146,12 +167,32 @@ class SimultaneousProblem:
         )
 
 
+# A singular value of a stack of unit-normalized rows counts as zero below
+# this fraction of the largest one.
+_RANK_RTOL = 1e-12
+
+
+def _rank(rows: np.ndarray) -> int:
+    s = np.linalg.svd(rows, compute_uv=False)
+    return int(np.sum(s > _RANK_RTOL * s[0]))
+
+
 def _independent_from_span(rows: np.ndarray, v: np.ndarray) -> bool:
-    if rows.size == 0:
-        return bool(np.any(v != 0.0))
-    r0 = np.linalg.matrix_rank(rows)
-    r1 = np.linalg.matrix_rank(np.vstack([rows, v]))
-    return r1 == r0 + 1
+    """Whether v lies outside the span of ``rows``.
+
+    Ranks are taken over unit-normalized rows (zero rows dropped), so the
+    answer does not depend on how large the rows are, only on their
+    directions, under the single relative tolerance ``_RANK_RTOL``.
+    """
+    vn = float(np.linalg.norm(v))
+    if vn == 0.0:
+        return False
+    norms = np.linalg.norm(rows, axis=1)
+    keep = norms > 0.0
+    if not np.any(keep):
+        return True
+    unit = rows[keep] / norms[keep, None]
+    return _rank(np.vstack([unit, v / vn])) == _rank(unit) + 1
 
 
 class _Objective:
@@ -186,7 +227,8 @@ class _Objective:
         self, C: np.ndarray, level: Optional[np.ndarray] = None
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Objective values, active target indices (ties -> lowest index),
-        and coefficient-space subgradients, one row per point.
+        and coefficient-space subgradients of the l1 objective, one row per
+        point.
 
         With ``level`` (the per-row target value the caller is stepping
         toward), residuals within twice the current gap to the level count as
@@ -212,14 +254,7 @@ class _Objective:
                 k = self.BM.shape[0]
                 Gs = np.empty((self.m, n, k))
                 for i in range(self.m):
-                    U = self.TM[i] - Z
-                    if self.l1:
-                        S = np.sign(U)
-                    else:
-                        S = np.zeros_like(U)
-                        pos = vals[i] > 0.0
-                        S[pos] = U[pos] / vals[i][pos, None]
-                    Gs[i] = -(S @ self.BM.T)
+                    Gs[i] = -(np.sign(self.TM[i] - Z) @ self.BM.T)
                 g1 = Gs[act, rows]
                 masked = np.where(near, vals, -np.inf)
                 masked[act, rows] = -np.inf
@@ -239,14 +274,7 @@ class _Objective:
                     np.where((count == 2)[:, None], pair, avg),
                 )
                 return cur, act, G
-        U = self.TM[act] - Z
-        if self.l1:
-            S = np.sign(U)
-        else:
-            S = np.zeros_like(U)
-            pos = cur > 0.0
-            S[pos] = U[pos] / cur[pos, None]
-        return cur, act, -(S @ self.BM.T)
+        return cur, act, -(np.sign(self.TM[act] - Z) @ self.BM.T)
 
 
 @dataclass
@@ -284,14 +312,185 @@ class SolveReport:
 
 
 @dataclass
-class _MinimizeResult:
+class _EngineResult:
     starts: np.ndarray
     best_coeffs: np.ndarray
     best_values: np.ndarray
-    iterations: int
+    iterations: np.ndarray  # per restart
     converged: np.ndarray
     winner: int
 
+
+def _starts(targets: np.ndarray, k: int, cfg: SolverConfig) -> np.ndarray:
+    """Restart points in coefficient space: the origin, then seeded Gaussian
+    points scaled by twice the largest target coordinate.  A trivial subspace
+    (k = 0) has a single point and needs a single restart."""
+    if k == 0:
+        return np.zeros((1, 0))
+    scale = 2.0 * float(np.max(np.abs(targets)))
+    rng = np.random.default_rng(cfg.seed)
+    starts = np.zeros((cfg.restarts, k))
+    if cfg.restarts > 1:
+        starts[1:] = rng.standard_normal((cfg.restarts - 1, k)) * scale
+    return starts
+
+
+def _winner(values: np.ndarray, coeffs: np.ndarray) -> int:
+    """Lowest value, ties broken by lexicographically smallest coefficients."""
+    return min(range(values.shape[0]), key=lambda r: (values[r], tuple(coeffs[r])))
+
+
+# ---------------------------------------------------------------------------
+# EuclideanGram: exact smallest enclosing ball under power distance
+
+# Two or more support points whose difference vectors have a singular value
+# below this fraction of the largest are treated as affinely dependent.  The
+# barycentric solve squares the conditioning of the points, so beyond this
+# it would return noise; the null-direction step needs no solve.
+_AFFINE_RTOL = 1e-7
+
+
+def _power(q: np.ndarray, w: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Power distances |x - q_i|^2 + w_i, the squared objective terms."""
+    d = q - x
+    return np.einsum("ij,ij->i", d, d) + w
+
+
+def _hull_pivot(
+    q: np.ndarray, w: np.ndarray, f: np.ndarray, lam: np.ndarray
+) -> tuple[np.ndarray, bool]:
+    """One move of the dual weights ``lam`` inside the affine hull of the
+    support points ``q`` (weights ``w``, power distances ``f`` at the current
+    primal point).
+
+    Returns the new weights, with one entry set to zero when a weight was
+    dropped, and whether they maximize D over the affine hull.  The move
+    never leaves the simplex and, in exact arithmetic, never lowers D:
+
+    * affinely dependent support: step along a null direction of the points,
+      along which D is linear, uphill until a weight reaches zero;
+    * otherwise solve for the hull optimum (the point with equal power
+      distance to every support point); take it if its weights are
+      nonnegative, else step toward it until a weight reaches zero.
+    """
+    n, k = q.shape
+    E = q[1:] - q[0]
+    U, s, _ = np.linalg.svd(E, full_matrices=True)
+    if n - 1 > k or s[-1] <= _AFFINE_RTOL * s[0]:
+        mu = U[:, -1]
+        d = np.concatenate(([-mu.sum()], mu))
+        if d @ f < 0.0:  # dD along d is sum_i d_i f_i, since sum_i d_i q_i = 0
+            d = -d
+    else:
+        # Equal power distance from x = q_0 + E^T mu to every support point:
+        # 2 E (x - q_0) = |e_i|^2 + w_i - w_0, solved through the SVD.
+        r = np.einsum("ij,ij->i", E, E) + w[1:] - w[0]
+        mu = U @ ((U.T @ r) / (2.0 * s * s))
+        hull = np.concatenate(([1.0 - mu.sum()], mu))
+        if hull.min() >= 0.0:
+            return hull, True
+        d = hull - lam
+    neg = d < 0.0
+    ratios = np.full(n, np.inf)
+    ratios[neg] = lam[neg] / -d[neg]
+    drop = int(np.argmin(ratios))
+    out = np.maximum(lam + ratios[drop] * d, 0.0)
+    out[drop] = 0.0
+    return out / out.sum(), False
+
+
+def _active_set(
+    q: np.ndarray, w: np.ndarray, x0: np.ndarray, max_pivots: int
+) -> tuple[np.ndarray, float, float, int]:
+    """Solve min_x max_i |x - q_i|^2 + w_i from the start ``x0``.
+
+    Dual: maximize D(lam) = sum_i lam_i (|q_i|^2 + w_i) - |sum_i lam_i q_i|^2
+    over the simplex, with the primal point x = sum_i lam_i q_i.  The support
+    starts at the target farthest from ``x0``; each pivot adds the most
+    violated target, or drops a weight the hull solve drives to zero, or
+    steps along a null direction of an affinely dependent support.  The loop
+    ends when no target lies outside the ball of the support, when D stops
+    increasing (rounding), or after ``max_pivots`` pivots.
+
+    Returns x, the primal value P = max_i |x - q_i|^2 + w_i, the certified
+    dual value D(lam) <= P at the final weights, and the pivot count.
+    """
+    support = [int(np.argmax(_power(q, w, x0)))]
+    lam = np.ones(1)
+    settled = True  # lam maximizes D over the affine hull of the support
+    last_dual = -np.inf
+    pivots = 0
+    while True:
+        x = lam @ q[support]
+        f = _power(q, w, x)
+        dual = float(lam @ f[support])  # equals D(lam) because x = lam @ q
+        if settled:
+            j = int(np.argmax(f))
+            if j in support or f[j] <= f[support].max() or dual <= last_dual:
+                break
+            last_dual = dual
+        if pivots == max_pivots:
+            break
+        pivots += 1
+        if settled:
+            support.append(j)
+            lam = np.append(lam, 0.0)
+        lam, settled = _hull_pivot(q[support], w[support], f[support], lam)
+        keep = lam > 0.0
+        if not keep.all():
+            support = [i for i, kept in zip(support, keep) if kept]
+            lam = lam[keep]
+            settled = settled or len(support) == 1
+    return x, float(f.max()), dual, pivots
+
+
+def _enclosing_ball(
+    space: SpaceSpec,
+    targets: np.ndarray,
+    basis: np.ndarray,
+    b: np.ndarray,
+    cfg: SolverConfig,
+) -> _EngineResult:
+    """Exact engine for ``EuclideanGram``: with M = |b| P (P projects out b),
+    y_i = M f_i and the thin QR factorization M B^T = Q R, the residual
+    p_b(f_i - B^T c)^2 equals |x - q_i|^2 + w_i at x = R c, where q_i = Q^T y_i
+    and w_i = |y_i - Q q_i|^2 is what no x can reach."""
+    M = seminorm_map(space, b)
+    Y = targets @ M.T
+    k = basis.shape[0]
+    if k:
+        Q, R = np.linalg.qr(M @ basis.T)
+        q = Y @ Q
+        resid = Y - q @ Q.T
+    else:
+        R = np.zeros((0, 0))
+        q = np.zeros((Y.shape[0], 0))
+        resid = Y
+    w = np.einsum("ij,ij->i", resid, resid)
+
+    starts = _starts(targets, k, cfg)
+    n = starts.shape[0]
+    X = np.empty((n, k))
+    values = np.empty(n)
+    iterations = np.empty(n, dtype=int)
+    converged = np.empty(n, dtype=bool)
+    for r, x0 in enumerate(starts @ R.T):
+        X[r], primal, dual, iterations[r] = _active_set(q, w, x0, cfg.max_iters)
+        values[r] = np.sqrt(primal)
+        converged[r] = values[r] - np.sqrt(dual) <= cfg.tol * (1.0 + values[r])
+    coeffs = np.linalg.solve(R, X.T).T if k else X
+    return _EngineResult(
+        starts=starts,
+        best_coeffs=coeffs,
+        best_values=values,
+        iterations=iterations,
+        converged=converged,
+        winner=_winner(values, coeffs),
+    )
+
+
+# ---------------------------------------------------------------------------
+# WhitePolynomial: multi-start subgradient method
 
 _WINDOW = 50  # iterations per improvement window for the stopping rule
 _ROUND = 100  # iterations per target-level round in the refinement stage
@@ -307,29 +506,23 @@ def _minimize(
     basis: np.ndarray,
     b: np.ndarray,
     cfg: SolverConfig,
-) -> _MinimizeResult:
+) -> _EngineResult:
     obj = _Objective(space, targets, basis, b)
     k = basis.shape[0]
-    R = cfg.restarts
+    starts = _starts(targets, k, cfg)
 
     if k == 0:
-        starts = np.zeros((1, 0))
-        val = obj.values(starts)
-        return _MinimizeResult(
+        return _EngineResult(
             starts=starts,
             best_coeffs=starts.copy(),
-            best_values=val,
-            iterations=0,
+            best_values=obj.values(starts),
+            iterations=np.zeros(1, dtype=int),
             converged=np.array([True]),
             winner=0,
         )
 
+    R = cfg.restarts
     scale = 2.0 * float(np.max(np.abs(targets)))
-    rng = np.random.default_rng(cfg.seed)
-    starts = np.zeros((R, k))
-    if R > 1:
-        starts[1:] = rng.standard_normal((R - 1, k)) * scale
-
     C = starts.copy()
     best_C = C.copy()
     best_v = obj.values(C).copy()
@@ -395,14 +588,13 @@ def _minimize(
     best_v = np.where(upd, vals, best_v)
 
     converged = window_improve < cfg.tol
-    winner = min(range(R), key=lambda r: (best_v[r], tuple(best_C[r])))
-    return _MinimizeResult(
+    return _EngineResult(
         starts=starts,
         best_coeffs=best_C,
         best_values=best_v,
-        iterations=t,
+        iterations=np.full(R, t),
         converged=converged,
-        winner=winner,
+        winner=_winner(best_v, best_C),
     )
 
 
@@ -414,14 +606,20 @@ def objective(problem: SimultaneousProblem, g) -> float:
     )
 
 
-def _spread(space: SpaceSpec, elements: np.ndarray, b: np.ndarray) -> float:
-    n = elements.shape[0]
-    if n < 2:
-        return 0.0
-    i, j = np.triu_indices(n, 1)
+def _pair_distances(
+    space: SpaceSpec, elements: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Seminorm distances p_b(e_i - e_j) over all pairs i < j, in one batch."""
+    i, j = np.triu_indices(elements.shape[0], 1)
     diffs = elements[i] - elements[j]
-    vals = two_norm_rows(space, diffs, np.tile(b, (diffs.shape[0], 1)))
-    return float(vals.max())
+    return i, j, two_norm_rows(space, diffs, np.tile(b, (diffs.shape[0], 1)))
+
+
+def _elements(problem: SimultaneousProblem, coeffs: np.ndarray) -> np.ndarray:
+    """Subspace elements for rows of coefficients."""
+    if problem.g_basis.k:
+        return coeffs @ problem.g_basis.matrix
+    return np.zeros((coeffs.shape[0], element_dim(problem.space)))
 
 
 def _require_solvable(problem: SimultaneousProblem) -> None:
@@ -431,46 +629,60 @@ def _require_solvable(problem: SimultaneousProblem) -> None:
         )
 
 
+def _engine(
+    space: SpaceSpec,
+    targets: np.ndarray,
+    basis: np.ndarray,
+    b: np.ndarray,
+    cfg: SolverConfig,
+) -> _EngineResult:
+    """The solve engine of the space: exact for l2, subgradient for l1."""
+    if isinstance(space, EuclideanGram):
+        return _enclosing_ball(space, targets, basis, b, cfg)
+    return _minimize(space, targets, basis, b, cfg)
+
+
 def solve(problem: SimultaneousProblem) -> SolveReport:
     """Minimize the worst residual seminorm over the spanned subspace.
 
     Deterministic for a fixed problem and seed.  Restarts launch from the
     origin plus seeded Gaussian points scaled by twice the largest target
-    coordinate; the subgradient of the max comes from the target with the
-    largest residual, averaged over any targets tied within a tiny relative
-    margin; the winner is the lowest value with lexicographic coefficient
-    tie-breaking.  A restart counts as converged when its best value improved
-    by less than ``tol`` over the last 50 iterations.
+    coordinate; the winner is the lowest value with lexicographic coefficient
+    tie-breaking.  On ``EuclideanGram`` each restart runs the exact
+    active-set engine: ``iterations`` counts its pivots (at most
+    ``max_iters``) and it converges when its certified duality gap
+    sqrt(P) - sqrt(D) is at most ``tol * (1 + sqrt(P))``.  On
+    ``WhitePolynomial`` the restarts run the subgradient method for
+    ``max_iters`` iterations with warm-up step ``step0``, and a restart
+    converges when its best value improved by less than ``tol`` over the last
+    50 iterations.
     """
     _require_solvable(problem)
-    res = _minimize(
+    res = _engine(
         problem.space, problem.targets, problem.g_basis.matrix, problem.b, problem.solver
     )
     return _report_from(problem, res)
 
 
-def _report_from(problem: SimultaneousProblem, res: _MinimizeResult) -> SolveReport:
-    elements = (
-        res.best_coeffs @ problem.g_basis.matrix
-        if problem.g_basis.k
-        else np.zeros((res.best_coeffs.shape[0], element_dim(problem.space)))
-    )
+def _report_from(problem: SimultaneousProblem, res: _EngineResult) -> SolveReport:
+    elements = _elements(problem, res.best_coeffs)
     g_star = elements[res.winner]
     per_restart = [
         RestartResult(
             start=[float(v) for v in res.starts[r]],
             value=float(res.best_values[r]),
-            iterations=res.iterations,
+            iterations=int(res.iterations[r]),
             converged=bool(res.converged[r]),
         )
         for r in range(res.starts.shape[0])
     ]
+    _, _, dists = _pair_distances(problem.space, elements, problem.b)
     return SolveReport(
         g_star=g_star,
         value=objective(problem, g_star),
         converged=bool(res.converged[res.winner]),
         per_restart=per_restart,
-        spread=_spread(problem.space, elements, problem.b),
+        spread=float(dists.max()) if dists.size else 0.0,
     )
 
 
@@ -540,17 +752,7 @@ def _grid_min(obj: _Objective, axes: list[np.ndarray]) -> tuple[float, np.ndarra
     return best_val, best_c
 
 
-def distance_to_subspace(
-    space: SpaceSpec, x0, w_basis, b, cfg: Optional[SolverConfig] = None
-) -> tuple[float, np.ndarray]:
-    """Distance min over w in span(w_basis) of ||x0 - w, b|| and a minimizer.
-
-    ``EuclideanGram`` is solved exactly: p_b(u) = |b| * |P u| with P the
-    orthogonal projector onto the complement of b, so the problem is a least
-    squares fit of P x0 against the projected basis.  ``WhitePolynomial``
-    falls back to the subgradient solver.
-    """
-    x0v = as_element(space, x0, "x0")
+def _subspace_parts(space: SpaceSpec, w_basis, b) -> tuple[SubspaceBasis, np.ndarray]:
     if not isinstance(w_basis, SubspaceBasis):
         w_basis = SubspaceBasis(space, w_basis)
     bv = as_element(space, b, "b")
@@ -558,21 +760,32 @@ def distance_to_subspace(
         raise ValueError("b: direction must be nonzero")
     if not _independent_from_span(w_basis.matrix, bv):
         raise ValueError("b must be linearly independent from the subspace span")
+    return w_basis, bv
 
-    if isinstance(space, EuclideanGram):
-        P = np.eye(space.dim) - np.outer(bv, bv) / float(bv @ bv)
-        if w_basis.k:
-            A = w_basis.matrix @ P.T  # row i = P w_i
-            coeffs, *_ = np.linalg.lstsq(A.T, P @ x0v, rcond=None)
-            w_star = w_basis.combine(coeffs)
-        else:
-            w_star = np.zeros(space.dim)
-        return two_norm(space, x0v - w_star, bv), w_star
 
+def _distance(
+    space: SpaceSpec, x0, w_basis, b, cfg: Optional[SolverConfig] = None
+) -> tuple[float, np.ndarray, bool]:
+    """:func:`distance_to_subspace` plus whether the engine converged."""
+    x0v = as_element(space, x0, "x0")
+    w_basis, bv = _subspace_parts(space, w_basis, b)
     solver = cfg if cfg is not None else SolverConfig()
-    res = _minimize(space, x0v[None, :], w_basis.matrix, bv, solver)
+    res = _engine(space, x0v[None, :], w_basis.matrix, bv, solver)
     w_star = w_basis.combine(res.best_coeffs[res.winner])
-    return two_norm(space, x0v - w_star, bv), w_star
+    return two_norm(space, x0v - w_star, bv), w_star, bool(res.converged[res.winner])
+
+
+def distance_to_subspace(
+    space: SpaceSpec, x0, w_basis, b, cfg: Optional[SolverConfig] = None
+) -> tuple[float, np.ndarray]:
+    """Distance min over w in span(w_basis) of ||x0 - w, b|| and a minimizer.
+
+    The single-target case of :func:`solve`, run by the space's engine: on
+    ``EuclideanGram`` the exact engine reduces it to a least squares fit of
+    the b-projected point against the projected basis.
+    """
+    delta, w_star, _ = _distance(space, x0, w_basis, b, cfg)
+    return delta, w_star
 
 
 def set_distance(
@@ -583,15 +796,9 @@ def set_distance(
     if not rows:
         raise ValueError("a_set must be nonempty")
     targets = np.array(rows, dtype=float)
-    if not isinstance(w_basis, SubspaceBasis):
-        w_basis = SubspaceBasis(space, w_basis)
-    bv = as_element(space, b, "b")
-    if not np.any(bv != 0.0):
-        raise ValueError("b: direction must be nonzero")
-    if not _independent_from_span(w_basis.matrix, bv):
-        raise ValueError("b must be linearly independent from the subspace span")
+    w_basis, bv = _subspace_parts(space, w_basis, b)
     solver = cfg if cfg is not None else SolverConfig()
-    res = _minimize(space, targets, w_basis.matrix, bv, solver)
+    res = _engine(space, targets, w_basis.matrix, bv, solver)
     w = w_basis.combine(res.best_coeffs[res.winner])
     return float(
         max(two_norm(space, a - w, bv) for a in targets)
@@ -830,15 +1037,11 @@ def uniqueness_probe(
         raise ValueError(f"restarts must be >= 2, got {restarts}")
     _require_solvable(problem)
     cfg = replace(problem.solver, restarts=restarts)
-    res = _minimize(problem.space, problem.targets, problem.g_basis.matrix, problem.b, cfg)
-    elements = (
-        res.best_coeffs @ problem.g_basis.matrix
-        if problem.g_basis.k
-        else np.zeros((restarts, element_dim(problem.space)))
-    )
+    res = _engine(problem.space, problem.targets, problem.g_basis.matrix, problem.b, cfg)
+    elements = _elements(problem, res.best_coeffs)
+    i, j, dists = _pair_distances(problem.space, elements, problem.b)
 
-    n = elements.shape[0]
-    parent = list(range(n))
+    parent = list(range(elements.shape[0]))
 
     def find(a: int) -> int:
         while parent[a] != a:
@@ -846,19 +1049,14 @@ def uniqueness_probe(
             a = parent[a]
         return a
 
-    spread = 0.0
-    for i in range(n):
-        for j in range(i + 1, n):
-            dist = two_norm(problem.space, elements[i] - elements[j], problem.b)
-            spread = max(spread, dist)
-            if dist < cluster_tol:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-    clusters = len({find(i) for i in range(n)})
+    for a, c in zip(i[dists < cluster_tol], j[dists < cluster_tol]):
+        ra, rc = find(int(a)), find(int(c))
+        if ra != rc:
+            parent[ra] = rc
+    clusters = len({find(a) for a in range(elements.shape[0])})
     return UniquenessReport(
         distinct_optimizers=clusters,
-        spread=spread,
+        spread=float(dists.max()) if dists.size else 0.0,
         restarts=restarts,
         values=[float(v) for v in res.best_values],
     )

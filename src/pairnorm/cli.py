@@ -113,13 +113,20 @@ def _overridden_solver(problem, args) -> approx.SolverConfig:
     )
 
 
+def _convergence_exit(converged: bool) -> int:
+    if not converged:
+        print("solver did not converge within the iteration budget", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
+    return EXIT_OK
+
+
 def _cmd_distance(args) -> int:
     problem, _ = jsonio.problem_from_dict(jsonio.load_json(args.file))
     x0, basis, b = _single_target_parts(problem)
     cfg = _overridden_solver(problem, args)
-    delta, w_star = approx.distance_to_subspace(problem.space, x0, basis, b, cfg)
+    delta, w_star, converged = approx._distance(problem.space, x0, basis, b, cfg)
     _emit({"delta": delta, "w_star": [float(v) for v in w_star]})
-    return EXIT_OK
+    return _convergence_exit(converged)
 
 
 def _cmd_solve(args) -> int:
@@ -137,10 +144,7 @@ def _cmd_solve(args) -> int:
             "resolution": args.resolution,
         }
     _emit(payload)
-    if not report.converged:
-        print("solver did not converge within the iteration budget", file=sys.stderr)
-        return EXIT_NO_CONVERGENCE
-    return EXIT_OK
+    return _convergence_exit(report.converged)
 
 
 def _cmd_certificate(args) -> int:

@@ -1,6 +1,7 @@
 """Solver, oracle, distance, certificate, blend, and uniqueness tests."""
 
 import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -193,6 +194,24 @@ def test_solve_white_space():
     # symmetric targets: optimum at g = 0 with value ||t, 1|| = 2
     assert rep.value == pytest.approx(2.0, abs=1e-6)
     assert abs(rep.g_star[1]) <= 1e-6
+
+
+def test_solve_large_targets_independent_b():
+    # independence of b is judged on directions, not on magnitudes
+    prob = gram_problem([[1e16, 0, 0], [0, 1e16, 0]], [E1])
+    rep = solve(prob)
+    assert rep.converged
+    assert rep.value == pytest.approx(1e16, rel=1e-12)
+    assert np.all(rep.g_star == 0.0)
+
+
+def test_solve_large_targets_dependent_b():
+    prob = gram_problem([[1e16, 0, 0], [0, 1e16, 0]], [E1], b=[1, 1, 0])
+    with pytest.raises(
+        ValueError,
+        match="b must be linearly independent from the span of the targets and the basis",
+    ):
+        solve(prob)
 
 
 def test_solver_config_validation():
@@ -443,3 +462,131 @@ def test_problem_validation():
         gram_problem([[1, 0, 0]], [E1], b=[0, 0, 0])  # zero b
     with pytest.raises(ValueError):
         SimultaneousProblem(GRAM, [[1, 0, np.inf]], SubspaceBasis(GRAM, [E1]), E3)
+
+
+# ---------------------------------------------------------------- exact l2 engine
+
+
+def brute_force_optimum(targets, basis, b) -> float:
+    """min over c of max_i p_b(f_i - B^T c), by enumerating supports.
+
+    With y_i = |b| P f_i and A = |b| P B^T (P projects out b), the residuals
+    are |y_i - A c|.  For every support S of at most k + 1 targets, solve the
+    optimality conditions on S: equal residuals on S, and A^T (A c - sum_S
+    lam_i y_i) = 0 with sum_S lam_i = 1.  Each candidate c is a feasible
+    point, so its objective bounds the optimum from above, and the optimal
+    support's candidate attains it: the minimum over candidates is the
+    optimum.
+    """
+    T = np.asarray(targets, dtype=float)
+    B = np.asarray(basis, dtype=float)
+    b = np.asarray(b, dtype=float)
+    P = np.eye(b.size) - np.outer(b, b) / (b @ b)
+    Y = np.linalg.norm(b) * T @ P
+    A = np.linalg.norm(b) * P @ B.T
+    k, m = B.shape[0], T.shape[0]
+    best = np.inf
+    for size in range(1, min(m, k + 1) + 1):
+        for S in itertools.combinations(range(m), size):
+            ys = Y[list(S)]
+            K = np.zeros((k + size, k + size))
+            rhs = np.zeros(k + size)
+            K[:k, :k] = A.T @ A
+            K[:k, k:] = -(A.T @ ys.T)
+            for t in range(1, size):
+                K[k + t - 1, :k] = 2.0 * (ys[t] - ys[0]) @ A
+                rhs[k + t - 1] = ys[t] @ ys[t] - ys[0] @ ys[0]
+            K[-1, k:] = 1.0
+            rhs[-1] = 1.0
+            c = np.linalg.lstsq(K, rhs, rcond=None)[0][:k]
+            best = min(best, float(np.sqrt(np.sum((Y - c @ A.T) ** 2, axis=1)).max()))
+    return best
+
+
+def random_gram_problem(d, k, m, seed, **solver_kw):
+    rng = np.random.default_rng([seed, d, k, m])
+    space = EuclideanGram(d)
+    basis = np.linalg.qr(rng.standard_normal((d, k)))[0].T
+    targets = rng.uniform(-1, 1, (m, d))
+    b = rng.standard_normal(d)
+    return SimultaneousProblem(
+        space, targets, SubspaceBasis(space, basis), b,
+        solver=SolverConfig(**solver_kw) if solver_kw else None,
+    )
+
+
+@pytest.mark.parametrize("d,k,m", [(8, 3, 4), (8, 4, 3), (16, 6, 8)])
+def test_solve_three_or_more_ties_is_exact(d, k, m):
+    # k >= 2 and m >= 3: three or more targets tie at the optimum
+    for seed in range(8):
+        prob = random_gram_problem(d, k, m, seed)
+        rep = solve(prob)
+        opt = brute_force_optimum(prob.targets, prob.g_basis.matrix, prob.b)
+        assert abs(rep.value - opt) <= 1e-12 * (1.0 + opt)
+        for r in rep.per_restart:
+            assert r.converged
+            assert abs(r.value - opt) <= 1e-12 * (1.0 + opt)
+
+
+@pytest.mark.parametrize("d,k,m", [(8, 1, 6), (12, 2, 9)])
+def test_solve_dependent_support_is_exact(d, k, m):
+    # many targets in few dimensions: adding a target to a support of k + 1
+    # points makes it affinely dependent, so the engine steps along a null
+    # direction of the support
+    for seed in range(8):
+        prob = random_gram_problem(d, k, m, seed)
+        rep = solve(prob)
+        opt = brute_force_optimum(prob.targets, prob.g_basis.matrix, prob.b)
+        for r in rep.per_restart:
+            assert r.converged
+            assert abs(r.value - opt) <= 1e-12 * (1.0 + opt)
+
+
+def test_solve_barely_violated_target():
+    # from starts away from the origin the first ball is the segment between
+    # the outer targets, which the middle target exceeds by 0.04 % only
+    prob = gram_problem([[-1, 0, 0], [1, 0, 0], [0, 1.0004, 0]], [E1])
+    rep = solve(prob)
+    for r in rep.per_restart:
+        assert r.converged
+        assert r.value == pytest.approx(1.0004, rel=1e-12)
+
+
+def test_solve_permutation_invariant():
+    for seed in range(5):
+        prob = random_gram_problem(10, 3, 5, seed)
+        order = np.random.default_rng(seed).permutation(5)
+        shuffled = SimultaneousProblem(prob.space, prob.targets[order], prob.g_basis, prob.b)
+        assert solve(shuffled).value == pytest.approx(solve(prob).value, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [-2.5, 1e-3, 1e4])
+def test_solve_scales_with_targets_and_basis(alpha):
+    for seed in range(3):
+        prob = random_gram_problem(8, 3, 4, seed)
+        scaled = SimultaneousProblem(
+            prob.space,
+            alpha * prob.targets,
+            SubspaceBasis(prob.space, alpha * prob.g_basis.matrix),
+            prob.b,
+        )
+        assert solve(scaled).value == pytest.approx(abs(alpha) * solve(prob).value, rel=1e-12)
+
+
+def test_converged_l2_restarts_meet_certified_gap():
+    # a converged restart certifies value - optimum <= tol * (1 + value);
+    # small pivot budgets leave some restarts short of the optimum
+    converged = unconverged = 0
+    for seed in range(6):
+        for max_iters in (1, 2, 3, 20000):
+            prob = random_gram_problem(10, 3, 5, seed, max_iters=max_iters)
+            opt = brute_force_optimum(prob.targets, prob.g_basis.matrix, prob.b)
+            rep = solve(prob)
+            for r in rep.per_restart:
+                assert r.iterations <= max_iters
+                if r.converged:
+                    converged += 1
+                    assert r.value - opt <= prob.solver.tol * (1.0 + r.value)
+                else:
+                    unconverged += 1
+    assert converged and unconverged

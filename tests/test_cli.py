@@ -1,8 +1,10 @@
 """End-to-end command line tests; reports must be JSON on every exit path."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,22 @@ SYMMETRIC_PROBLEM = {
     "g_basis": [[1, 0, 0]],
     "b": [0, 0, 1],
     "solver": {"seed": 0, "restarts": 4},
+}
+
+# WhitePolynomial(1, (0, 1)) with symmetric targets: optimum 2 at g = 0
+WHITE_SYMMETRIC_PROBLEM = {
+    "space": {"kind": "white_polynomial", "degree": 1, "points": [0, 1]},
+    "targets": [[0, 1], [0, -1]],
+    "g_basis": [[0, 1]],
+    "b": [1, 0],
+}
+
+# three targets on the unit circle: the optimum needs two pivots
+CIRCLE_PROBLEM = {
+    "space": SPACE,
+    "targets": [[1, 0, 0], [-0.5, 3**0.5 / 2, 0], [-0.5, -(3**0.5) / 2, 0]],
+    "g_basis": [[1, 0, 0], [0, 1, 0]],
+    "b": [0, 0, 1],
 }
 
 POINT_PROBLEM = {
@@ -93,11 +111,23 @@ def test_solve_flag_overrides(tmp_path, capsys):
 
 
 def test_solve_nonconvergence_exit(tmp_path, capsys):
-    path = write(tmp_path, "problem.json", SYMMETRIC_PROBLEM)
+    path = write(tmp_path, "problem.json", WHITE_SYMMETRIC_PROBLEM)
     code, out, err = run_cli(capsys, "solve", path, "--max-iters", "20")
     assert code == 2
     assert out["converged"] is False
     assert "converge" in err
+
+
+def test_solve_pivot_budget_exit(tmp_path, capsys):
+    path = write(tmp_path, "problem.json", CIRCLE_PROBLEM)
+    code, out, err = run_cli(capsys, "solve", path, "--max-iters", "1")
+    assert code == 2
+    assert out["converged"] is False
+    assert all(r["iterations"] == 1 for r in out["per_restart"])
+    assert "converge" in err
+    code, out, _ = run_cli(capsys, "solve", path)
+    assert code == 0
+    assert abs(out["value"] - 1.0) <= 1e-12
 
 
 def test_solve_with_oracle(tmp_path, capsys):
@@ -116,6 +146,22 @@ def test_distance_subcommand(tmp_path, capsys):
     assert code == 0
     assert abs(out["delta"] - 1.0) <= 1e-9
     assert out["w_star"] == [1.0, 0.0, 0.0]
+
+
+def test_distance_nonconvergence_exit(tmp_path, capsys):
+    payload = {
+        "space": {"kind": "white_polynomial", "degree": 2, "points": [0, 0.3, 0.7, 1]},
+        "targets": [[1, 0.5, -0.3]],
+        "g_basis": [[0.2, 1, 0]],
+        "b": [0, 0.4, 1],
+        "solver": {"max_iters": 1, "restarts": 1},
+    }
+    path = write(tmp_path, "point.json", payload)
+    code, out, err = run_cli(capsys, "distance", path)
+    assert code == 2
+    assert out["delta"] > 0.0
+    assert len(out["w_star"]) == 3
+    assert "converge" in err
 
 
 def test_distance_requires_single_target(tmp_path, capsys):
@@ -249,3 +295,18 @@ def test_subprocess_determinism(tmp_path):
     assert a.stdout == b.stdout
     assert a.stdout.strip()
     json.loads(a.stdout)
+
+
+def test_import_loads_no_scipy():
+    # scipy costs tens of MB and a sizeable share of start-up time
+    code = (
+        "import sys, pairnorm, pairnorm.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    assert out.stdout.strip() == "[]"
