@@ -16,10 +16,11 @@ one engine:
   (Gaertner 1999).  A primal-dual active-set method on the dual simplex
   solves it in a handful of pivots, and every dual iterate lam certifies the
   lower bound D(lam) <= value^2, so convergence is a certified gap.
-* ``WhitePolynomial`` (l1 norm) runs a multi-start subgradient method: a
-  1/sqrt(t) warm-up schedule followed by a target-level refinement stage
-  (Polyak steps toward a level just below the incumbent, with the level gap
-  shrunk whenever a round stops being productive at its current scale).
+* ``WhitePolynomial`` (l1 norm) is solved exactly too.  Minimizing
+  max_i |M_b (f_i - B^T c)|_1 is a linear program (Barrodale and Phillips
+  1975 treat the same l1/Chebyshev form); a dense-tableau primal simplex
+  solves it from a feasible start basis, and the multipliers of its final
+  basis give the dual value that certifies the gap.
 
 ``oracle_solve`` is an independent exhaustive grid search (k <= 3) used as
 ground truth in tests.  ``distance_to_subspace`` and ``set_distance``
@@ -31,6 +32,7 @@ minimizers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -40,6 +42,7 @@ from .spaces import (
     EuclideanGram,
     SpaceSpec,
     WhitePolynomial,
+    _row_norms,
     as_element,
     element_dim,
     seminorm_map,
@@ -75,15 +78,16 @@ class SolverConfig:
 
     * ``restarts``: starts per solve, the origin plus seeded (``seed``)
       Gaussian points scaled by twice the largest target coordinate.
-    * ``max_iters``: on ``EuclideanGram`` the cap on active-set pivots of
-      each restart; on ``WhitePolynomial`` the subgradient iterations, shared
-      by all restarts.
-    * ``tol``: on ``EuclideanGram`` a restart converges when its certified
-      gap sqrt(P) - sqrt(D) is at most ``tol * (1 + sqrt(P))``, P the primal
-      and D the dual value; on ``WhitePolynomial`` when its best value
-      improved by less than ``tol`` over the last 50 iterations.
-    * ``step0``: the warm-up step length of the subgradient method
-      (``WhitePolynomial`` only).
+    * ``max_iters``: the cap on the pivots of each restart, active-set
+      pivots on ``EuclideanGram`` and simplex pivots on ``WhitePolynomial``.
+    * ``tol``: a restart converges when its value v and certified lower
+      bound L satisfy v - L <= ``tol * (1 + v)``.  On ``EuclideanGram`` v and
+      L are the square roots of the primal and dual values of the squared
+      objective; on ``WhitePolynomial`` they are the primal and dual values
+      of the linear program, and the simplex must also have stopped with no
+      negative reduced cost.
+    * ``step0``: read by no engine.  It is kept so that problem files that
+      set it still parse and reports keep their bytes.
     """
 
     max_iters: int = 20000
@@ -112,7 +116,7 @@ class SubspaceBasis:
         d = element_dim(space)
         self.matrix = np.array(rows, dtype=float).reshape(len(rows), d)
         if rows:
-            norms = np.linalg.norm(self.matrix, axis=1)
+            norms = _row_norms(self.matrix)
             if np.any(norms == 0.0):
                 raise ValueError("basis contains a zero vector")
             unit = self.matrix / norms[:, None]
@@ -184,10 +188,10 @@ def _independent_from_span(rows: np.ndarray, v: np.ndarray) -> bool:
     answer does not depend on how large the rows are, only on their
     directions, under the single relative tolerance ``_RANK_RTOL``.
     """
-    vn = float(np.linalg.norm(v))
+    vn = float(_row_norms(v[None, :])[0])
     if vn == 0.0:
         return False
-    norms = np.linalg.norm(rows, axis=1)
+    norms = _row_norms(rows)
     keep = norms > 0.0
     if not np.any(keep):
         return True
@@ -198,8 +202,9 @@ def _independent_from_span(rows: np.ndarray, v: np.ndarray) -> bool:
 class _Objective:
     """Batch evaluator for max_i p_b(f_i - g) with g = coeffs @ basis.
 
-    Residuals are pushed through the seminorm's linear-map form once, so grid
-    sweeps and subgradient steps cost one small matmul per batch.
+    Residuals are pushed through the seminorm's linear-map form once, so a
+    grid sweep costs one small matmul per batch.  Only :func:`oracle_solve`
+    uses it, which keeps the oracle independent of the solve engines.
     """
 
     def __init__(
@@ -222,59 +227,6 @@ class _Objective:
         for i in range(1, self.m):
             np.maximum(out, self._norm_rows(self.TM[i] - Z), out=out)
         return out
-
-    def values_active_subgrad(
-        self, C: np.ndarray, level: Optional[np.ndarray] = None
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Objective values, active target indices (ties -> lowest index),
-        and coefficient-space subgradients of the l1 objective, one row per
-        point.
-
-        With ``level`` (the per-row target value the caller is stepping
-        toward), residuals within twice the current gap to the level count as
-        tied; tied pairs get the minimum-norm combination of their gradients
-        (three or more tied fall back to the plain average).  Near a kink the
-        minimum-norm direction tracks the valley floor instead of bouncing
-        between its walls, and a margin that scales with the remaining gap
-        keeps that tracking engaged at every stage of the descent.
-        """
-        Z = C @ self.BM
-        n = C.shape[0]
-        vals = np.empty((self.m, n))
-        for i in range(self.m):
-            vals[i] = self._norm_rows(self.TM[i] - Z)
-        act = np.argmax(vals, axis=0)
-        rows = np.arange(n)
-        cur = vals[act, rows]
-        if level is not None and self.m > 1:
-            margin = np.maximum(2.0 * (cur - level), 0.0)
-            near = vals >= (cur - margin)[None, :]
-            count = near.sum(axis=0)
-            if np.any(count > 1):
-                k = self.BM.shape[0]
-                Gs = np.empty((self.m, n, k))
-                for i in range(self.m):
-                    Gs[i] = -(np.sign(self.TM[i] - Z) @ self.BM.T)
-                g1 = Gs[act, rows]
-                masked = np.where(near, vals, -np.inf)
-                masked[act, rows] = -np.inf
-                second = np.argmax(masked, axis=0)
-                g2 = Gs[second, rows]
-                d = g1 - g2
-                dn = np.einsum("ij,ij->i", d, d)
-                lam = np.zeros(n)
-                np.divide(
-                    np.einsum("ij,ij->i", g1, d), dn, out=lam, where=dn > 0.0
-                )
-                pair = g1 - np.clip(lam, 0.0, 1.0)[:, None] * d
-                avg = np.einsum("in,ink->nk", near / count[None, :], Gs)
-                G = np.where(
-                    (count == 1)[:, None],
-                    g1,
-                    np.where((count == 2)[:, None], pair, avg),
-                )
-                return cur, act, G
-        return cur, act, -(np.sign(self.TM[act] - Z) @ self.BM.T)
 
 
 @dataclass
@@ -333,6 +285,14 @@ def _starts(targets: np.ndarray, k: int, cfg: SolverConfig) -> np.ndarray:
     if cfg.restarts > 1:
         starts[1:] = rng.standard_normal((cfg.restarts - 1, k)) * scale
     return starts
+
+
+def _pow2_peak(A: np.ndarray) -> float:
+    """The power of two just above the largest absolute entry of ``A`` (1
+    for a zero array).  Dividing by it is exact, so it rescales a problem
+    without changing the rounding of any normal-range result."""
+    peak = float(np.abs(A).max()) if A.size else 0.0
+    return math.ldexp(1.0, math.frexp(peak)[1]) if peak > 0.0 else 1.0
 
 
 def _winner(values: np.ndarray, coeffs: np.ndarray) -> int:
@@ -457,6 +417,8 @@ def _enclosing_ball(
     and w_i = |y_i - Q q_i|^2 is what no x can reach."""
     M = seminorm_map(space, b)
     Y = targets @ M.T
+    scale = _pow2_peak(Y)
+    Y = Y / scale  # squares of tiny or huge targets stay representable
     k = basis.shape[0]
     if k:
         Q, R = np.linalg.qr(M @ basis.T)
@@ -474,11 +436,12 @@ def _enclosing_ball(
     values = np.empty(n)
     iterations = np.empty(n, dtype=int)
     converged = np.empty(n, dtype=bool)
-    for r, x0 in enumerate(starts @ R.T):
+    for r, x0 in enumerate(starts @ R.T / scale):
         X[r], primal, dual, iterations[r] = _active_set(q, w, x0, cfg.max_iters)
-        values[r] = np.sqrt(primal)
-        converged[r] = values[r] - np.sqrt(dual) <= cfg.tol * (1.0 + values[r])
-    coeffs = np.linalg.solve(R, X.T).T if k else X
+        values[r] = np.sqrt(primal) * scale
+        gap = values[r] - np.sqrt(dual) * scale
+        converged[r] = gap <= cfg.tol * (1.0 + values[r])
+    coeffs = (np.linalg.solve(R, X.T).T if k else X) * scale
     return _EngineResult(
         starts=starts,
         best_coeffs=coeffs,
@@ -490,111 +453,175 @@ def _enclosing_ball(
 
 
 # ---------------------------------------------------------------------------
-# WhitePolynomial: multi-start subgradient method
+# WhitePolynomial: exact linear program, dense-tableau primal simplex
 
-_WINDOW = 50  # iterations per improvement window for the stopping rule
-_ROUND = 100  # iterations per target-level round in the refinement stage
-_LEVEL_GAP0 = 1e-2  # initial target gap, relative to 1 + incumbent value
-_LEVEL_FLOOR = 1e-16  # stop refining once the relative gap is below this
-_HOLD_FRAC = 0.25  # keep the gap while a round removes this much of it
-_STEP_CAP = 1e3  # safety cap on the Polyak step length, times 1 + scale
+# The tableau is scaled so that its entries are of order one.  Reduced costs
+# above -_LP_EPS count as nonnegative, pivot entries must exceed _LP_EPS, and
+# a step no longer than _LP_EPS is degenerate.
+_LP_EPS = 1e-11
 
 
-def _minimize(
+def _lp_matrix(BM: np.ndarray, m: int) -> np.ndarray:
+    """Constraint matrix of the l1 problem in standard form.
+
+    Columns are delta+ and delta- (k each), t, P and N (m*p each, target
+    major) and S (m).  Row (i, j) reads BM[:, j] . (delta+ - delta-) + P_ij -
+    N_ij = y_ij, so P_ij - N_ij is the residual; row i of the last m reads
+    sum_j (P_ij + N_ij) - t + S_i = 0, so t bounds every residual's l1 norm.
+    """
+    k, p = BM.shape
+    mp = m * p
+    A = np.zeros((mp + m, 2 * k + 1 + 2 * mp + m))
+    fit = np.tile(BM.T, (m, 1))
+    A[:mp, :k] = fit
+    A[:mp, k : 2 * k] = -fit
+    A[mp:, 2 * k] = -1.0
+    off = 2 * k + 1  # first P column
+    A[:mp, off : off + mp] = np.eye(mp)
+    A[:mp, off + mp : off + 2 * mp] = -np.eye(mp)
+    groups = np.kron(np.eye(m), np.ones(p))
+    A[mp:, off : off + mp] = groups
+    A[mp:, off + mp : off + 2 * mp] = groups
+    A[mp:, off + 2 * mp :] = np.eye(m)
+    return A
+
+
+def _pivot_row(tab: np.ndarray, q: int, basis: np.ndarray) -> int:
+    """Ratio test for entering column ``q``: the row whose basic variable
+    first reaches zero, ties broken by the smallest basic index (Bland);
+    -1 when no entry of the column is positive."""
+    col = tab[:-1, q]
+    ok = col > _LP_EPS
+    if not ok.any():
+        return -1
+    # a basic value rounded below zero counts as zero: a degenerate step
+    level = np.maximum(tab[:-1, -1], 0.0)
+    ratios = np.divide(level, col, out=np.full(col.shape, np.inf), where=ok)
+    ties = np.flatnonzero(ratios == ratios.min())
+    return int(ties[np.argmin(basis[ties])])
+
+
+def _start_tableau(
+    A: np.ndarray, rhs: np.ndarray, sign: np.ndarray, worst: int
+) -> np.ndarray:
+    """B^-1 [A | rhs] for the start basis of :func:`_linear_program`.
+
+    Row by row the start basis holds P_ij or N_ij (``sign`` +1 or -1), then
+    S_i, except t on the target row ``worst``.  Its matrix is [[D, 0], [G, H]]
+    with D = diag(sign), G summing each target's residual rows into its
+    target row, and H the identity whose column ``worst`` is all -1 (the t
+    column).  So B^-1 = [[D, 0], [-H^-1 G D, H^-1]], and H^-1 negates entry
+    ``worst`` of a vector and subtracts it from every other entry.
+    """
+    full = np.column_stack([A, rhs])
+    mp = sign.size
+    m = A.shape[0] - mp
+    top = sign[:, None] * full[:mp]
+    Z = full[mp:] - top.reshape(m, mp // m, -1).sum(axis=1)
+    bottom = Z - Z[worst]
+    bottom[worst] = -Z[worst]
+    return np.vstack([top, bottom])
+
+
+def _simplex(
+    tab: np.ndarray, basis: np.ndarray, t: int, max_pivots: int
+) -> tuple[np.ndarray, int, bool]:
+    """Primal simplex for min x_t subject to A x = rhs, x >= 0, from the
+    tableau ``tab`` = B^-1 [A | rhs] of a feasible ``basis`` (one column
+    index per row).
+
+    Each pivot enters the column of most negative reduced cost; when that
+    step would be degenerate it enters the lowest-index candidate instead,
+    and ties in the ratio test leave by the lowest basic index, so degenerate
+    vertices cannot cycle (Bland's rule).  Returns the final basis, the
+    pivot count, and whether no reduced cost is negative.
+    """
+    # objective row: reduced costs e_t - c_B^T B^-1 A, then -x_t
+    cost = -tab[int(np.argmax(basis == t))]
+    cost[t] += 1.0
+    tab = np.vstack([tab, cost])
+    reduced = tab[-1, :-1]
+    pivots = 0
+    while True:
+        q = int(reduced.argmin())
+        if reduced[q] >= -_LP_EPS:
+            return basis, pivots, True
+        if pivots == max_pivots:
+            return basis, pivots, False
+        r = _pivot_row(tab, q, basis)
+        if r < 0 or tab[r, -1] <= _LP_EPS * tab[r, q]:
+            q = int(np.argmax(reduced < -_LP_EPS))
+            r = _pivot_row(tab, q, basis)
+            if r < 0:  # an unbounded ray: only rounding can produce one
+                return basis, pivots, False
+        pivots += 1
+        row = tab[r] / tab[r, q]
+        tab -= tab[:, q, None] * row
+        tab[r] = row
+        basis[r] = q
+
+
+def _linear_program(
     space: SpaceSpec,
     targets: np.ndarray,
     basis: np.ndarray,
     b: np.ndarray,
     cfg: SolverConfig,
 ) -> _EngineResult:
-    obj = _Objective(space, targets, basis, b)
-    k = basis.shape[0]
+    """Exact engine for ``WhitePolynomial``: with Y = targets M^T and BM =
+    basis M^T, minimize t subject to |Y_i - c BM|_1 <= t for every target.
+
+    Each restart writes c = c0 + delta+ - delta- around its start c0 and
+    starts the simplex at delta = 0 from a feasible basis, so no phase 1 is
+    needed: P_ij or N_ij by the sign of the shifted residual, t on the row of
+    the worst target, S_i on every other target row.  The multipliers
+    pi = B^-T c_B of the final basis split into u on the residual rows and
+    -lam on the target rows; D = sum_i u_i . y_i is the dual value, a lower
+    bound on the optimum whenever the reduced costs are nonnegative.
+    """
+    M = seminorm_map(space, b)
+    Y = targets @ M.T
+    BM = basis @ M.T
+    m, p = Y.shape
+    k = BM.shape[0]
+    mp = m * p
+    # Scaling the delta columns to unit peak changes no multiplier.
+    col_scale = np.abs(BM).max(axis=1) if k else np.ones(0)
+    A = _lp_matrix(BM / col_scale[:, None], m)
+    t = 2 * k
+    rows = np.arange(mp)
+
     starts = _starts(targets, k, cfg)
-
-    if k == 0:
-        return _EngineResult(
-            starts=starts,
-            best_coeffs=starts.copy(),
-            best_values=obj.values(starts),
-            iterations=np.zeros(1, dtype=int),
-            converged=np.array([True]),
-            winner=0,
-        )
-
-    R = cfg.restarts
-    scale = 2.0 * float(np.max(np.abs(targets)))
-    C = starts.copy()
-    best_C = C.copy()
-    best_v = obj.values(C).copy()
-    prev_window_best = best_v.copy()
-    window_improve = np.full(R, np.inf)
-
-    warmup_end = min(cfg.max_iters, max(100, cfg.max_iters // 10))
-    step_cap = _STEP_CAP * (1.0 + scale)
-
-    t = 0
-    delta = None
-    round_base = None
-    while t < cfg.max_iters:
-        step_index = t + 1
-        in_warmup = step_index <= warmup_end
-        if not in_warmup:
-            pos = (step_index - warmup_end - 1) % _ROUND
-            if pos == 0:
-                if delta is None:
-                    delta = _LEVEL_GAP0 * (1.0 + best_v)
-                else:
-                    # Level adjustment: halve the target gap only once a
-                    # round stops being productive at the current scale, so
-                    # a restart that fell behind the shrinking gap catches
-                    # up instead of freezing there.
-                    hold = round_base - best_v >= _HOLD_FRAC * _ROUND * delta
-                    delta = np.where(hold, delta, 0.5 * delta)
-                if float(np.max(delta / (1.0 + best_v))) < _LEVEL_FLOOR:
-                    break
-                C = best_C.copy()
-                round_base = best_v.copy()
-        t = step_index
-
-        level = None if delta is None else best_v - delta
-        vals, _, grads = obj.values_active_subgrad(C, level=level)
-        upd = vals < best_v
-        best_C[upd] = C[upd]
-        best_v = np.where(upd, vals, best_v)
-
-        norms = np.linalg.norm(grads, axis=1)
-        dirs = np.zeros_like(grads)
-        nz = norms > 0.0
-        dirs[nz] = grads[nz] / norms[nz, None]
-        if in_warmup:
-            eta = np.full(R, cfg.step0 / np.sqrt(step_index))
-        else:
-            # Target-level step: move by (value - level) / |subgradient|
-            # toward level best_v - delta, shrinking delta between rounds.
-            # The step stays proportional to the value gap, so progress
-            # along kink ridges does not stall as fixed halved steps would.
-            gap = vals - (best_v - delta)
-            eta = np.zeros(R)
-            eta[nz] = np.minimum(gap[nz] / norms[nz], step_cap)
-        C = C - eta[:, None] * dirs
-
-        if t % _WINDOW == 0:
-            window_improve = prev_window_best - best_v
-            prev_window_best = best_v.copy()
-
-    vals = obj.values(C)
-    upd = vals < best_v
-    best_C[upd] = C[upd]
-    best_v = np.where(upd, vals, best_v)
-
-    converged = window_improve < cfg.tol
+    n = starts.shape[0]
+    coeffs = np.empty((n, k))
+    values = np.empty(n)
+    iterations = np.empty(n, dtype=int)
+    converged = np.empty(n, dtype=bool)
+    for r, c0 in enumerate(starts):
+        shifted = Y - c0 @ BM
+        y_scale = _pow2_peak(shifted)
+        rhs = np.concatenate([shifted.ravel() / y_scale, np.zeros(m)])
+        neg = rhs[:mp] < 0.0
+        worst = int(np.argmax(np.abs(shifted).sum(axis=1)))
+        start = np.concatenate([t + 1 + rows + mp * neg, t + 1 + 2 * mp + np.arange(m)])
+        start[mp + worst] = t
+        tab = _start_tableau(A, rhs, np.where(neg, -1.0, 1.0), worst)
+        final, iterations[r], optimal = _simplex(tab, start, t, cfg.max_iters)
+        AB = A[:, final]
+        x = np.zeros(A.shape[1])
+        x[final] = np.linalg.solve(AB, rhs)
+        coeffs[r] = c0 + (x[:k] - x[k:t]) * y_scale / col_scale
+        values[r] = float(np.abs(Y - coeffs[r] @ BM).sum(axis=1).max())
+        pi = np.linalg.solve(AB.T, (final == t).astype(float))
+        dual = float(pi[:mp] @ Y.ravel())
+        converged[r] = optimal and values[r] - dual <= cfg.tol * (1.0 + values[r])
     return _EngineResult(
         starts=starts,
-        best_coeffs=best_C,
-        best_values=best_v,
-        iterations=np.full(R, t),
+        best_coeffs=coeffs,
+        best_values=values,
+        iterations=iterations,
         converged=converged,
-        winner=_winner(best_v, best_C),
+        winner=_winner(values, coeffs),
     )
 
 
@@ -636,10 +663,11 @@ def _engine(
     b: np.ndarray,
     cfg: SolverConfig,
 ) -> _EngineResult:
-    """The solve engine of the space: exact for l2, subgradient for l1."""
+    """The exact solve engine of the space: enclosing ball for l2, simplex
+    for l1."""
     if isinstance(space, EuclideanGram):
         return _enclosing_ball(space, targets, basis, b, cfg)
-    return _minimize(space, targets, basis, b, cfg)
+    return _linear_program(space, targets, basis, b, cfg)
 
 
 def solve(problem: SimultaneousProblem) -> SolveReport:
@@ -648,14 +676,13 @@ def solve(problem: SimultaneousProblem) -> SolveReport:
     Deterministic for a fixed problem and seed.  Restarts launch from the
     origin plus seeded Gaussian points scaled by twice the largest target
     coordinate; the winner is the lowest value with lexicographic coefficient
-    tie-breaking.  On ``EuclideanGram`` each restart runs the exact
-    active-set engine: ``iterations`` counts its pivots (at most
-    ``max_iters``) and it converges when its certified duality gap
-    sqrt(P) - sqrt(D) is at most ``tol * (1 + sqrt(P))``.  On
-    ``WhitePolynomial`` the restarts run the subgradient method for
-    ``max_iters`` iterations with warm-up step ``step0``, and a restart
-    converges when its best value improved by less than ``tol`` over the last
-    50 iterations.
+    tie-breaking.  Each restart runs the exact engine of the space, the
+    active-set method on ``EuclideanGram`` and the simplex method on
+    ``WhitePolynomial``: ``iterations`` counts its pivots (at most
+    ``max_iters``), and it converges when its certified duality gap is at
+    most ``tol`` times one plus its value; see :class:`SolverConfig`.  On a flat optimal
+    face of a ``WhitePolynomial`` problem, restarts may end at distinct
+    optimal vertices.
     """
     _require_solvable(problem)
     res = _engine(
@@ -780,9 +807,11 @@ def distance_to_subspace(
 ) -> tuple[float, np.ndarray]:
     """Distance min over w in span(w_basis) of ||x0 - w, b|| and a minimizer.
 
-    The single-target case of :func:`solve`, run by the space's engine: on
-    ``EuclideanGram`` the exact engine reduces it to a least squares fit of
-    the b-projected point against the projected basis.
+    The single-target case of :func:`solve`, run by the space's exact
+    engine: on ``EuclideanGram`` it reduces to a least squares fit of the
+    b-projected point against the projected basis, on ``WhitePolynomial`` to
+    a linear program (a weighted l1 fit).  ``cfg`` sets the pivot budget and
+    the gap tolerance as in :func:`solve`.
     """
     delta, w_star, _ = _distance(space, x0, w_basis, b, cfg)
     return delta, w_star

@@ -127,26 +127,83 @@ def _poly_tables(space: WhitePolynomial) -> tuple[np.ndarray, np.ndarray]:
     return V, Vd
 
 
+# Squared row norms outside [2^-500, 2^500] have underflowed or overflowed,
+# or may in a product of two; such rows are rescaled by their largest
+# absolute entry first.
+_SQ_MIN, _SQ_MAX = 2.0**-500, 2.0**500
+_TINY = np.nextafter(0.0, 1.0)
+
+
+def _peaks(X: np.ndarray) -> np.ndarray:
+    """Largest absolute entry of each row, 1 for zero rows."""
+    s = np.abs(X).max(axis=1)
+    s[s == 0.0] = 1.0
+    return s
+
+
+def _row_norms(X: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of ``X``, free of overflow and underflow
+    in the squares."""
+    sq = np.einsum("ij,ij->i", X, X)
+    out = np.sqrt(sq)
+    if not sq.size or (sq.min() >= _SQ_MIN and sq.max() <= _SQ_MAX):
+        return out
+    bad = (sq < _SQ_MIN) | (sq > _SQ_MAX)
+    s = _peaks(X[bad])
+    Z = X[bad] / s[:, None]
+    out[bad] = s * np.sqrt(np.einsum("ij,ij->i", Z, Z))
+    return out
+
+
+def _gram_area(
+    X: np.ndarray, Y: np.ndarray, xx: np.ndarray, yy: np.ndarray
+) -> np.ndarray:
+    """Parallelogram areas of paired rows, given their squared norms.
+
+    The raw Gram determinant xx*yy - xy^2 cancels catastrophically on
+    near-dependent pairs; |x|*|y - cx*x| is accurate to machine absolute
+    error, and the geometric mean of the two one-sided areas keeps the result
+    bitwise symmetric in (x, y) because float multiplication commutes.
+    """
+    xy = np.einsum("ij,ij->i", X, Y)
+    # A zero |x|^2 here comes from x = 0, so xy = 0 and the quotient is 0.
+    cx = xy / np.maximum(xx, _TINY)
+    cy = xy / np.maximum(yy, _TINY)
+    rx = Y - cx[:, None] * X
+    ry = X - cy[:, None] * Y
+    ax = np.sqrt(xx * np.einsum("ij,ij->i", rx, rx))
+    ay = np.sqrt(yy * np.einsum("ij,ij->i", ry, ry))
+    return np.sqrt(ax * ay)
+
+
 def two_norm_rows(space: SpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Row-wise 2-norm of paired rows of ``X`` and ``Y`` (no validation)."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if isinstance(space, EuclideanGram):
-        # Parallelogram area via mutual projection residuals.  The raw Gram
-        # determinant xx*yy - xy^2 cancels catastrophically on near-dependent
-        # pairs; |x|*|y - cx*x| is accurate to machine absolute error, and the
-        # geometric mean of the two one-sided areas keeps the result bitwise
-        # symmetric in (x, y) because float multiplication commutes.
-        xx = np.einsum("ij,ij->i", X, X)
-        yy = np.einsum("ij,ij->i", Y, Y)
-        xy = np.einsum("ij,ij->i", X, Y)
-        cx = np.divide(xy, xx, out=np.zeros_like(xy), where=xx > 0.0)
-        cy = np.divide(xy, yy, out=np.zeros_like(xy), where=yy > 0.0)
-        rx = Y - cx[:, None] * X
-        ry = X - cy[:, None] * Y
-        ax = np.sqrt(xx * np.einsum("ij,ij->i", rx, rx))
-        ay = np.sqrt(yy * np.einsum("ij,ij->i", ry, ry))
-        return np.sqrt(ax * ay)
+        # |x|^2 and |y|^2 in one buffer, checked in two reductions
+        sq = np.empty((2, max(X.shape[0], Y.shape[0])))
+        np.einsum("ij,ij->i", X, X, out=sq[0])
+        np.einsum("ij,ij->i", Y, Y, out=sq[1])
+        if not sq.size or (sq.min() >= _SQ_MIN and sq.max() <= _SQ_MAX):
+            return _gram_area(X, Y, sq[0], sq[1])
+        if X.shape != Y.shape:
+            X, Y = np.broadcast_arrays(X, Y)
+        # Exact zero vectors need no rescaling: their area is 0 either way.
+        nonzero = np.stack([X.any(axis=1), Y.any(axis=1)])
+        bad = ((sq < _SQ_MIN) & nonzero | (sq > _SQ_MAX)).any(axis=0)
+        if not bad.any():
+            return _gram_area(X, Y, sq[0], sq[1])
+        # The area scales by |alpha| |beta| under x -> alpha x, y -> beta y.
+        ok = ~bad
+        sx, sy = _peaks(X[bad]), _peaks(Y[bad])
+        Xs, Ys = X[bad] / sx[:, None], Y[bad] / sy[:, None]
+        area = np.empty(bad.shape)
+        area[ok] = _gram_area(X[ok], Y[ok], sq[0, ok], sq[1, ok])
+        area[bad] = _gram_area(
+            Xs, Ys, np.einsum("ij,ij->i", Xs, Xs), np.einsum("ij,ij->i", Ys, Ys)
+        ) * (sx * sy)
+        return area
     V, Vd = _poly_tables(space)
     fv, fd = X @ V.T, X @ Vd.T
     gv, gd = Y @ V.T, Y @ Vd.T

@@ -590,3 +590,209 @@ def test_converged_l2_restarts_meet_certified_gap():
                 else:
                     unconverged += 1
     assert converged and unconverged
+
+
+# ---------------------------------------------------------------- exact l1 engine
+
+
+def white_map(space, b):
+    """Matrix W with p_b(u) = |W u|_1, built from the White definition:
+    row k is u -> u(t_k) b'(t_k) - u'(t_k) b(t_k)."""
+    t = np.asarray(space.points)
+    V = np.vander(t, space.degree + 1, increasing=True)
+    Vd = np.hstack([np.zeros((t.size, 1)), V[:, :-1] * np.arange(1, space.degree + 1)])
+    return V * (Vd @ b)[:, None] - Vd * (V @ b)[:, None]
+
+
+def lp_optimum(prob) -> float:
+    """min over c of max_i |W (f_i - B^T c)|_1 as an LP solved by HiGHS: free
+    c, slacks s_ij >= |r_ij| and a level t >= sum_j s_ij for every target."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    W = white_map(prob.space, prob.b)
+    F = prob.targets @ W.T
+    G = prob.g_basis.matrix @ W.T
+    (m, n), k = F.shape, G.shape[0]
+    nv = k + m * n + 1
+    rows, rhs = [], []
+    for i in range(m):
+        for j in range(n):
+            s = np.zeros(nv)
+            s[k + i * n + j] = -1.0
+            for sign in (1.0, -1.0):
+                row = s.copy()
+                row[:k] = -sign * G[:, j]
+                rows.append(row)
+                rhs.append(-sign * F[i, j])
+        level = np.zeros(nv)
+        level[k + i * n : k + (i + 1) * n] = 1.0
+        level[-1] = -1.0
+        rows.append(level)
+        rhs.append(0.0)
+    cost = np.zeros(nv)
+    cost[-1] = 1.0
+    bounds = [(None, None)] * k + [(0.0, None)] * (m * n + 1)
+    res = linprog(cost, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds, method="highs")
+    assert res.status == 0, res.message
+    return float(np.abs(F - res.x[:k] @ G).sum(axis=1).max())
+
+
+def random_white_problem(degree, k, m, seed, **solver_kw):
+    rng = np.random.default_rng([seed, degree, k, m])
+    n = 2 * degree
+    space = WhitePolynomial(degree, tuple((np.arange(n) + rng.uniform(0.1, 0.9, n)) / n))
+    d = degree + 1
+    return SimultaneousProblem(
+        space,
+        rng.standard_normal((m, d)),
+        SubspaceBasis(space, rng.standard_normal((k, d))),
+        rng.standard_normal(d),
+        solver=SolverConfig(**solver_kw) if solver_kw else None,
+    )
+
+
+@pytest.mark.parametrize(
+    "degree,k,m", [(5, 2, 1), (5, 3, 1), (6, 2, 1), (6, 3, 1), (4, 2, 2), (6, 2, 4)]
+)
+def test_white_solve_matches_lp(degree, k, m):
+    # k >= 2 with one target, and k = 2 with two or four: several basis
+    # directions and tied residuals at the optimum; every restart must reach
+    # the LP optimum
+    for seed in range(6):
+        prob = random_white_problem(degree, k, m, seed)
+        opt = lp_optimum(prob)
+        rep = solve(prob)
+        assert rep.converged
+        assert abs(rep.value - opt) <= 1e-9 * (1.0 + opt)
+        for r in rep.per_restart:
+            assert r.converged
+            assert abs(r.value - opt) <= 1e-9 * (1.0 + opt)
+
+
+@pytest.mark.parametrize(
+    "alpha,beta,gamma", [(1e-8, 1, 1), (1e8, 1, 1), (1, 1e-6, 1), (1, 1e6, 1), (1, 1, 1e5)]
+)
+def test_white_solve_scales(alpha, beta, gamma):
+    # targets scaled by alpha and b by gamma scale the value by |alpha gamma|;
+    # scaling the basis by beta changes nothing but the pivots' arithmetic
+    for shape in ((6, 3, 1), (4, 2, 2)):
+        for seed in range(4):
+            prob = random_white_problem(*shape, seed)
+            scaled = SimultaneousProblem(
+                prob.space,
+                alpha * prob.targets,
+                SubspaceBasis(prob.space, beta * prob.g_basis.matrix),
+                gamma * prob.b,
+            )
+            expected = alpha * gamma * solve(prob).value
+            rep = solve(scaled)
+            assert rep.value == pytest.approx(expected, rel=1e-9, abs=0)
+            for r in rep.per_restart:
+                assert r.converged
+                assert r.value >= expected * (1.0 - 1e-12)
+                assert r.value - expected <= scaled.solver.tol * (1.0 + r.value)
+
+
+def test_white_distance_and_set_distance_match_lp():
+    for seed in range(4):
+        prob = random_white_problem(6, 3, 1, seed)
+        delta, w_star = distance_to_subspace(
+            prob.space, prob.targets[0], prob.g_basis, prob.b
+        )
+        opt = lp_optimum(prob)
+        assert abs(delta - opt) <= 1e-9 * (1.0 + opt)
+        assert objective(prob, w_star) == pytest.approx(delta, rel=1e-12)
+        prob = random_white_problem(5, 2, 3, seed)
+        val = set_distance(prob.space, prob.targets, prob.g_basis, prob.b)
+        assert abs(val - lp_optimum(prob)) <= 1e-9 * (1.0 + val)
+
+
+WHITE3 = WhitePolynomial(3, (0.0, 0.2, 0.4, 0.6, 0.8, 1.0))
+WHITE3_BASIS = SubspaceBasis(WHITE3, [[1, 0, 0, 0], [0, 1, 1, 0]])
+
+
+def degenerate_white_cases():
+    f = np.array([0.3, -1.0, 0.5, 2.0])
+    inside = 2.0 * WHITE3_BASIS.matrix[0] - WHITE3_BASIS.matrix[1]
+    grid = WhitePolynomial(4, tuple(np.arange(8) / 8))
+    return {
+        "target_in_G": ([inside], WHITE3_BASIS, [0, 0, 1, 1]),
+        "symmetric_pair": ([f, -f], WHITE3_BASIS, [0, 0, 1, 1]),
+        "duplicates": ([f, f, f], WHITE3_BASIS, [0, 0, 1, 1]),
+        # integer data on grid points: many residual entries tie or vanish
+        "integer_grid": (
+            [[1, 0, 0, 1, 0], [0, 1, 0, -1, 1]],
+            SubspaceBasis(grid, [[1, 1, 0, 0, 0], [0, 1, -1, 0, 0]]),
+            [0, 0, 0, 1, 1],
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(degenerate_white_cases()))
+def test_white_degenerate_inputs_converge(case):
+    targets, basis, b = degenerate_white_cases()[case]
+    prob = SimultaneousProblem(basis.space, targets, basis, b)
+    rep = solve(prob)
+    assert rep.converged
+    assert all(r.converged for r in rep.per_restart)
+    if case == "target_in_G":
+        expected = 0.0
+    elif case == "symmetric_pair":
+        # 2 p_b(f) <= p_b(f - g) + p_b(f + g), so g = 0 is optimal
+        expected = seminorm_b(prob.space, b, targets[0])
+    elif case == "duplicates":
+        expected, _ = distance_to_subspace(prob.space, targets[0], basis, b)
+    else:
+        expected = lp_optimum(prob)
+    assert rep.value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+    for r in rep.per_restart:
+        assert r.value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def test_converged_white_restarts_meet_certified_gap():
+    # the pivot budget caps every restart; a converged restart certifies
+    # value - optimum <= tol * (1 + value)
+    converged = unconverged = 0
+    for seed in range(4):
+        for max_iters in (1, 2, 3, 5, 20000):
+            prob = random_white_problem(5, 2, 2, seed, max_iters=max_iters)
+            opt = lp_optimum(prob)
+            for r in solve(prob).per_restart:
+                assert r.iterations <= max_iters
+                if r.converged:
+                    converged += 1
+                    assert r.value - opt <= prob.solver.tol * (1.0 + r.value)
+                else:
+                    unconverged += 1
+    assert converged and unconverged
+
+
+def test_white_uniqueness_finds_flat_face():
+    # with b = 1 the seminorm is sum_k |u'(t_k)|, so the objective at g = c g1
+    # is |c - 1| + |c - 1.5| + |c - 2| + |c - 2.5|: flat at 2 on [1.5, 2];
+    # restarts from either side end at the two vertices, 2 apart
+    space = WhitePolynomial(2, (0.0, 0.25, 0.5, 0.75))
+    prob = SimultaneousProblem(space, [[-1, -1, -1]], [[-1, -1, 0]], [1, 0, 0])
+    rep = uniqueness_probe(prob, restarts=8)
+    assert rep.distinct_optimizers == 2
+    assert rep.spread == pytest.approx(2.0, rel=1e-12)
+    assert all(v == pytest.approx(2.0, rel=1e-12) for v in rep.values)
+
+
+# ---------------------------------------------------------------- extreme scales
+
+
+def test_solve_tiny_targets():
+    prob = gram_problem([[1e-200, 0, 0], [0, 1e-200, 0]], [E1])
+    rep = solve(prob)
+    assert rep.converged
+    assert rep.value == pytest.approx(1e-200, rel=1e-12, abs=0)
+    for r in rep.per_restart:
+        assert r.value == pytest.approx(1e-200, rel=1e-12, abs=0)
+
+
+def test_huge_basis_vector_is_independent():
+    prob = gram_problem([[1, 1, 0], [1, -1, 0]], [[1e160, 0, 0]])
+    assert prob.b_independent
+    rep = solve(prob)
+    assert rep.value == pytest.approx(1.0, rel=1e-12)
+    assert rep.g_star == pytest.approx([1.0, 0.0, 0.0], rel=1e-12)

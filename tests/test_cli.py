@@ -21,12 +21,12 @@ SYMMETRIC_PROBLEM = {
     "solver": {"seed": 0, "restarts": 4},
 }
 
-# WhitePolynomial(1, (0, 1)) with symmetric targets: optimum 2 at g = 0
-WHITE_SYMMETRIC_PROBLEM = {
-    "space": {"kind": "white_polynomial", "degree": 1, "points": [0, 1]},
-    "targets": [[0, 1], [0, -1]],
-    "g_basis": [[0, 1]],
-    "b": [1, 0],
+# a White problem whose restarts need more than five pivots
+WHITE_PIVOTS_PROBLEM = {
+    "space": {"kind": "white_polynomial", "degree": 3, "points": [0, 0.2, 0.4, 0.6, 0.8, 1]},
+    "targets": [[3.2, 3.5, -0.3, 0.1], [2.8, 3.1, 0.4, -0.2]],
+    "g_basis": [[1, 1, 0, 0]],
+    "b": [0, 0, 0.4, 1],
 }
 
 # three targets on the unit circle: the optimum needs two pivots
@@ -111,8 +111,8 @@ def test_solve_flag_overrides(tmp_path, capsys):
 
 
 def test_solve_nonconvergence_exit(tmp_path, capsys):
-    path = write(tmp_path, "problem.json", WHITE_SYMMETRIC_PROBLEM)
-    code, out, err = run_cli(capsys, "solve", path, "--max-iters", "20")
+    path = write(tmp_path, "problem.json", WHITE_PIVOTS_PROBLEM)
+    code, out, err = run_cli(capsys, "solve", path, "--max-iters", "5")
     assert code == 2
     assert out["converged"] is False
     assert "converge" in err
@@ -151,8 +151,8 @@ def test_distance_subcommand(tmp_path, capsys):
 def test_distance_nonconvergence_exit(tmp_path, capsys):
     payload = {
         "space": {"kind": "white_polynomial", "degree": 2, "points": [0, 0.3, 0.7, 1]},
-        "targets": [[1, 0.5, -0.3]],
-        "g_basis": [[0.2, 1, 0]],
+        "targets": [[3.2, 3.5, -0.3]],
+        "g_basis": [[1, 1, 0]],
         "b": [0, 0.4, 1],
         "solver": {"max_iters": 1, "restarts": 1},
     }

@@ -221,3 +221,14 @@ def test_triple_sweep_to_dict_roundtrip():
     d = report.to_dict()
     assert d["passed"] is True
     assert d["branch_plus"] + d["branch_minus"] + d["branch_both"] == 100
+
+
+def test_gram_extreme_scales():
+    tiny = two_norm(GRAM, [1e-200, 0, 0], [0, 1, 0])
+    assert tiny == pytest.approx(1e-200, rel=1e-12, abs=0)
+    assert two_norm(GRAM, [1e160, 0, 0], [0, 1e-160, 0]) == pytest.approx(1.0, rel=1e-12)
+    assert two_norm(GRAM, [1e200, 1e200, 0], [3e-200, 0, 0]) == pytest.approx(3.0, rel=1e-12)
+    assert two_norm(GRAM, [0, 0, 0], [1e200, 0, 0]) == 0.0
+    # one row against many, as in the batch form
+    out = two_norm_rows(GRAM, [[0, 0, 1e-200]], [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+    assert out == pytest.approx([1e-200, 2e-200, 0.0], rel=1e-12, abs=0)
