@@ -44,6 +44,7 @@ from .spaces import (
     WhitePolynomial,
     _row_norms,
     as_element,
+    as_elements,
     element_dim,
     seminorm_map,
     two_norm,
@@ -112,10 +113,8 @@ class SubspaceBasis:
 
     def __init__(self, space: SpaceSpec, vectors: Sequence) -> None:
         self.space = space
-        rows = [as_element(space, v, f"basis[{i}]") for i, v in enumerate(vectors)]
-        d = element_dim(space)
-        self.matrix = np.array(rows, dtype=float).reshape(len(rows), d)
-        if rows:
+        self.matrix = as_elements(space, vectors, "basis")
+        if self.k:
             norms = _row_norms(self.matrix)
             if np.any(norms == 0.0):
                 raise ValueError("basis contains a zero vector")
@@ -155,10 +154,9 @@ class SimultaneousProblem:
         solver: Optional[SolverConfig] = None,
     ) -> None:
         self.space = space
-        rows = [as_element(space, t, f"targets[{i}]") for i, t in enumerate(targets)]
-        if not rows:
+        self.targets = as_elements(space, targets, "targets")
+        if not self.targets.shape[0]:
             raise ValueError("targets must be nonempty")
-        self.targets = np.array(rows, dtype=float)
         if not isinstance(g_basis, SubspaceBasis):
             g_basis = SubspaceBasis(space, g_basis)
         self.g_basis = g_basis
@@ -626,10 +624,11 @@ def _linear_program(
 
 
 def objective(problem: SimultaneousProblem, g) -> float:
-    """Worst residual seminorm max_i ||f_i - g, b|| at a candidate g."""
+    """Worst residual seminorm max_i ||f_i - g, b|| at a candidate g, over
+    all targets in one batch."""
     gv = as_element(problem.space, g, "g")
-    return max(
-        two_norm(problem.space, f - gv, problem.b) for f in problem.targets
+    return float(
+        two_norm_rows(problem.space, problem.targets - gv, problem.b[None, :]).max()
     )
 
 
@@ -821,17 +820,14 @@ def set_distance(
     space: SpaceSpec, a_set: Sequence, w_basis, b, cfg: Optional[SolverConfig] = None
 ) -> float:
     """inf over w in span(w_basis) of max over the set of ||a - w, b||."""
-    rows = [as_element(space, a, f"a_set[{i}]") for i, a in enumerate(a_set)]
-    if not rows:
+    targets = as_elements(space, a_set, "a_set")
+    if not targets.shape[0]:
         raise ValueError("a_set must be nonempty")
-    targets = np.array(rows, dtype=float)
     w_basis, bv = _subspace_parts(space, w_basis, b)
     solver = cfg if cfg is not None else SolverConfig()
     res = _engine(space, targets, w_basis.matrix, bv, solver)
     w = w_basis.combine(res.best_coeffs[res.winner])
-    return float(
-        max(two_norm(space, a - w, bv) for a in targets)
-    )
+    return float(two_norm_rows(space, targets - w, bv[None, :]).max())
 
 
 @dataclass

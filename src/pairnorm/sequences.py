@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .spaces import SpaceSpec, as_element, two_norm_rows
+from .spaces import SpaceSpec, as_element, as_elements, two_norm_rows
 
 __all__ = [
     "SequencePrefix",
@@ -38,10 +38,9 @@ class SequencePrefix:
         self, space: SpaceSpec, elements: Sequence, probe_y=None, probe_z=None
     ) -> None:
         self.space = space
-        rows = [as_element(space, e, f"elements[{i}]") for i, e in enumerate(elements)]
-        if len(rows) < 2:
+        self.elements = as_elements(space, elements, "elements")
+        if self.elements.shape[0] < 2:
             raise ValueError("a sequence prefix needs at least 2 elements")
-        self.elements = np.array(rows, dtype=float)
         self.probe_y = as_element(space, probe_y, "probes.y") if probe_y is not None else None
         self.probe_z = as_element(space, probe_z, "probes.z") if probe_z is not None else None
 

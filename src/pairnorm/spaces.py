@@ -21,10 +21,17 @@ Two concrete spaces are implemented:
 reports every violation together with the witnessing tuple.  Because deciding
 linear independence of arbitrary float vectors is ill-posed, N1 is only tested
 one-directionally, on constructed dependent pairs.
+
+Batches are the unit of work.  ``as_elements`` validates a whole list of rows
+once, in one pass, and ``two_norm_rows`` evaluates paired rows in one call
+(``approx.objective`` makes one such call over all targets).  The
+``EuclideanGram`` kernel walks its rows in cache-sized blocks, which changes
+no bit of the result because every row is computed on its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional, Union
@@ -37,6 +44,7 @@ __all__ = [
     "SpaceSpec",
     "element_dim",
     "as_element",
+    "as_elements",
     "two_norm",
     "two_norm_rows",
     "seminorm_b",
@@ -116,6 +124,31 @@ def as_element(space: SpaceSpec, coords, name: str = "element") -> np.ndarray:
     return x
 
 
+def as_elements(space: SpaceSpec, rows, name: str = "elements") -> np.ndarray:
+    """Validate each of ``rows`` as an element of ``space``; return a new
+    (len(rows), d) float array.
+
+    Well-formed input is converted and checked in one pass.  Otherwise the
+    rows are checked one at a time, so the error names the first bad row,
+    ``name[i]``, with the message :func:`as_element` gives for it.
+    """
+    if not isinstance(rows, (list, tuple, np.ndarray)):
+        rows = list(rows)
+    d = element_dim(space)
+    try:
+        X = np.array(rows, dtype=float)
+    except (TypeError, ValueError):  # ragged or unconvertible rows
+        X = None
+    if X is not None and X.ndim == 2 and X.shape[1] == d:
+        finite = np.isfinite(X)
+        if not finite.all():
+            i = int(np.argmin(finite.all(axis=1)))
+            raise ValueError(f"{name}[{i}]: coordinates must be finite")
+        return X
+    checked = [as_element(space, r, f"{name}[{i}]") for i, r in enumerate(rows)]
+    return np.array(checked, dtype=float).reshape(len(checked), d)
+
+
 @lru_cache(maxsize=None)
 def _poly_tables(space: WhitePolynomial) -> tuple[np.ndarray, np.ndarray]:
     # V[k, j] = t_k**j, Vd[k, j] = j * t_k**(j-1): evaluation and exact derivative.
@@ -176,34 +209,64 @@ def _gram_area(
     return np.sqrt(ax * ay)
 
 
+def _euclid_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """``EuclideanGram`` areas of paired rows, rescaling rows whose squares
+    leave [_SQ_MIN, _SQ_MAX]; a 1-row operand pairs with every row."""
+    # |x|^2 and |y|^2 in one buffer, checked in two reductions
+    sq = np.empty((2, max(X.shape[0], Y.shape[0])))
+    np.einsum("ij,ij->i", X, X, out=sq[0])
+    np.einsum("ij,ij->i", Y, Y, out=sq[1])
+    if not sq.size or (sq.min() >= _SQ_MIN and sq.max() <= _SQ_MAX):
+        return _gram_area(X, Y, sq[0], sq[1])
+    if X.shape != Y.shape:
+        X, Y = np.broadcast_arrays(X, Y)
+    # Exact zero vectors need no rescaling: their area is 0 either way.
+    nonzero = np.stack([X.any(axis=1), Y.any(axis=1)])
+    bad = ((sq < _SQ_MIN) & nonzero | (sq > _SQ_MAX)).any(axis=0)
+    if not bad.any():
+        return _gram_area(X, Y, sq[0], sq[1])
+    # The area scales by |alpha| |beta| under x -> alpha x, y -> beta y.
+    ok = ~bad
+    sx, sy = _peaks(X[bad]), _peaks(Y[bad])
+    Xs, Ys = X[bad] / sx[:, None], Y[bad] / sy[:, None]
+    area = np.empty(bad.shape)
+    area[ok] = _gram_area(X[ok], Y[ok], sq[0, ok], sq[1, ok])
+    area[bad] = _gram_area(
+        Xs, Ys, np.einsum("ij,ij->i", Xs, Xs), np.einsum("ij,ij->i", Ys, Ys)
+    ) * (sx * sy)
+    return area
+
+
+# Rows per block of the EuclideanGram kernel.  It makes about ten temporaries
+# of the operands' size; at 2048 x 16 doubles each is 256 kB, so a block's
+# working set stays in L2 where a 1e5-row batch would stream every one of
+# them through memory.
+_BLOCK_ROWS = 2048
+
+
 def two_norm_rows(space: SpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-wise 2-norm of paired rows of ``X`` and ``Y`` (no validation)."""
+    """Row-wise 2-norm of paired rows of ``X`` and ``Y``.
+
+    No validation: callers check their rows once per batch (see
+    :func:`as_elements`), and batch callers such as ``approx.objective``
+    pass all their rows in one call.  A 1-row operand is paired with every
+    row of the other.  On ``EuclideanGram`` the rows are evaluated in blocks
+    of ``_BLOCK_ROWS``; each row's value depends on that row alone, so the
+    result has the same bits as one unblocked evaluation.
+    ``WhitePolynomial`` runs one matmul over the whole batch, since
+    splitting it would change the BLAS rounding.
+    """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if isinstance(space, EuclideanGram):
-        # |x|^2 and |y|^2 in one buffer, checked in two reductions
-        sq = np.empty((2, max(X.shape[0], Y.shape[0])))
-        np.einsum("ij,ij->i", X, X, out=sq[0])
-        np.einsum("ij,ij->i", Y, Y, out=sq[1])
-        if not sq.size or (sq.min() >= _SQ_MIN and sq.max() <= _SQ_MAX):
-            return _gram_area(X, Y, sq[0], sq[1])
-        if X.shape != Y.shape:
-            X, Y = np.broadcast_arrays(X, Y)
-        # Exact zero vectors need no rescaling: their area is 0 either way.
-        nonzero = np.stack([X.any(axis=1), Y.any(axis=1)])
-        bad = ((sq < _SQ_MIN) & nonzero | (sq > _SQ_MAX)).any(axis=0)
-        if not bad.any():
-            return _gram_area(X, Y, sq[0], sq[1])
-        # The area scales by |alpha| |beta| under x -> alpha x, y -> beta y.
-        ok = ~bad
-        sx, sy = _peaks(X[bad]), _peaks(Y[bad])
-        Xs, Ys = X[bad] / sx[:, None], Y[bad] / sy[:, None]
-        area = np.empty(bad.shape)
-        area[ok] = _gram_area(X[ok], Y[ok], sq[0, ok], sq[1, ok])
-        area[bad] = _gram_area(
-            Xs, Ys, np.einsum("ij,ij->i", Xs, Xs), np.einsum("ij,ij->i", Ys, Ys)
-        ) * (sx * sy)
-        return area
+        n = max(X.shape[0], Y.shape[0])
+        out = np.empty(n)
+        for lo in range(0, n, _BLOCK_ROWS):
+            blk = slice(lo, lo + _BLOCK_ROWS)
+            out[blk] = _euclid_rows(
+                X[blk] if X.shape[0] > 1 else X, Y[blk] if Y.shape[0] > 1 else Y
+            )
+        return out
     V, Vd = _poly_tables(space)
     fv, fd = X @ V.T, X @ Vd.T
     gv, gd = Y @ V.T, Y @ Vd.T
@@ -244,8 +307,16 @@ def seminorm_map(space: SpaceSpec, b) -> np.ndarray:
     if not np.any(bv != 0.0):
         raise ValueError("b: direction must be nonzero")
     if isinstance(space, EuclideanGram):
-        nb = float(np.linalg.norm(bv))
-        return nb * np.eye(space.dim) - np.outer(bv, bv) / nb
+        with np.errstate(over="ignore"):  # an overflow lands outside the range
+            sq = float(bv @ bv)
+        if _SQ_MIN <= sq <= _SQ_MAX:
+            nb = math.sqrt(sq)  # np.linalg.norm's formula: the map keeps its bits
+            return nb * np.eye(space.dim) - np.outer(bv, bv) / nb
+        # |b|^2 or b b^T would overflow or underflow: M = |b| (I - u u^T)
+        # with the unit vector u = b / |b|.
+        nb = float(_row_norms(bv[None, :])[0])
+        u = bv / nb
+        return nb * (np.eye(space.dim) - np.outer(u, u))
     V, Vd = _poly_tables(space)
     bval = V @ bv
     bder = Vd @ bv

@@ -464,6 +464,56 @@ def test_problem_validation():
         SimultaneousProblem(GRAM, [[1, 0, np.inf]], SubspaceBasis(GRAM, [E1]), E3)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda: SubspaceBasis(GRAM, [E1, [0, 1]]),
+            "basis[1]: dimension mismatch, expected 3 coordinates, got shape (2,)",
+        ),
+        (lambda: SubspaceBasis(GRAM, [E1, [0, np.nan, 0]]), "basis[1]: coordinates must be finite"),
+        (
+            lambda: gram_problem([[1, 0, 0], [0, 1]], [E1]),
+            "targets[1]: dimension mismatch, expected 3 coordinates, got shape (2,)",
+        ),
+        (lambda: gram_problem([[1, 0, 0], [0, 0, -np.inf]], [E1]), "targets[1]: coordinates must be finite"),
+        (
+            lambda: set_distance(GRAM, [[1, 0, 0], [[0, 1, 0]]], [E1], E3),
+            "a_set[1]: dimension mismatch, expected 3 coordinates, got shape (1, 3)",
+        ),
+        (lambda: set_distance(GRAM, [[np.nan, 0, 0], [0, 1]], [E1], E3), "a_set[0]: coordinates must be finite"),
+        (lambda: set_distance(GRAM, [], [E1], E3), "a_set must be nonempty"),
+    ],
+)
+def test_row_list_messages(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_objective_batch_matches_per_target_loop():
+    # one two_norm_rows call over all targets; the per-target loop is the
+    # reference, bit for bit on EuclideanGram, including rescaled residuals
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(2, 17))
+        k = int(rng.integers(0, min(d, 4)))
+        m = int(rng.integers(1, 10))
+        space = EuclideanGram(d)
+        targets = rng.standard_normal((m, d)) * 10.0 ** rng.choice([-200, 0, 200])
+        basis = np.linalg.qr(rng.standard_normal((d, max(k, 1))))[0].T[:k]
+        prob = SimultaneousProblem(space, targets, SubspaceBasis(space, basis), rng.standard_normal(d))
+        g = rng.standard_normal(k) @ basis
+        ref = max(two_norm(space, f - g, prob.b) for f in prob.targets)
+        assert objective(prob, g) == ref
+    # WhitePolynomial runs one matmul over m rows, which may round differently
+    for seed in range(50):
+        prob = random_white_problem(4, 2, 5, seed)
+        g = np.random.default_rng(seed).standard_normal(2) @ prob.g_basis.matrix
+        ref = max(two_norm(prob.space, f - g, prob.b) for f in prob.targets)
+        assert objective(prob, g) == pytest.approx(ref, rel=1e-13)
+
+
 # ---------------------------------------------------------------- exact l2 engine
 
 

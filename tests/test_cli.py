@@ -1,5 +1,6 @@
 """End-to-end command line tests; reports must be JSON on every exit path."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -310,3 +311,84 @@ def test_import_loads_no_scipy():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_solve_huge_direction_subprocess(tmp_path):
+    # |b| = 1e160: |b|^2 and b b^T overflow unless the seminorm map is
+    # built from b / |b|; the value is |b| * 1e-150
+    problem = {
+        "space": {"kind": "euclidean_gram", "dim": 3},
+        "targets": [[1e-150, 1e-150, 0]],
+        "g_basis": [[1, 0, 0]],
+        "b": [0, 0, 1e160],
+    }
+    path = write(tmp_path, "problem.json", problem)
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-m", "pairnorm", "solve", path], capture_output=True, text=True, env=env
+    )
+    assert out.returncode == 0, out.stdout
+    assert out.stderr == ""
+    assert json.loads(out.stdout)["value"] == pytest.approx(1e10, rel=1e-12)
+
+
+# Reports whose bytes must not move when the batch layer changes: SHA-256 and
+# length of stdout, as written by the unblocked kernel with per-row validation
+# (numpy 2.4.6 with OpenBLAS, x86-64).  The sweeps run past one kernel block
+# and print every violation's values; the sequences evaluate 7140 Cauchy pairs.
+
+WHITE3 = {"kind": "white_polynomial", "degree": 3, "points": [0, 0.125, 0.25, 0.5, 0.75, 1]}
+
+
+def _coord(j, c):
+    """A coordinate in [-0.5, 0.5) that every platform computes alike."""
+    return ((j * 7919 + c * 104729) % 1000 - 500) / 1000
+
+
+def golden_sequence(space, d, n):
+    limit = [_coord(0, c) for c in range(d)]
+    return {
+        "space": space,
+        "elements": [
+            [limit[c] + _coord(j, c + 3) / (j + 1) for c in range(d)] for j in range(1, n + 1)
+        ],
+        "probes": {
+            "y": [_coord(1, c + 9) + 1 for c in range(d)],
+            "z": [_coord(2, c + 17) for c in range(d)],
+        },
+        "limit": limit,
+        "probe_dirs": [[_coord(3, c + 29) for c in range(d)], [_coord(4, c + 41) for c in range(d)]],
+    }
+
+
+SWEEP_FLAGS = ["--samples", "3000", "--seed", "5", "--tol", "1e-16"]
+GOLDEN = {
+    "check-axioms-euclid": (
+        "check-axioms", SWEEP_FLAGS, {"kind": "euclidean_gram", "dim": 4}, 3, 703308,
+        "936c0332b96dc402b628a276fc2412d8aecd997c3975cbbe4ed29294c3d234b9",
+    ),
+    "check-axioms-white": (
+        "check-axioms", SWEEP_FLAGS, WHITE3, 3, 1527346,
+        "e3968008d0daf1cfe025d3d22d74f0ee7e5400b21851b220e027180791660e73",
+    ),
+    "sequence-euclid": (
+        "sequence", ["--tail-from", "0"],
+        golden_sequence({"kind": "euclidean_gram", "dim": 5}, 5, 120), 0, 8762,
+        "a67828ef37cf711663d267d84512478a39f92120216fd0de89703c4c9cf42934",
+    ),
+    "sequence-white": (
+        "sequence", ["--tail-from", "0"], golden_sequence(WHITE3, 4, 120), 0, 8529,
+        "d795967f50a520d92139b677de51bf38c63053255e0c7fd3780035fb7d45ae0b",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_report_bytes(tmp_path, capsys, name):
+    command, flags, payload, exit_code, size, digest = GOLDEN[name]
+    path = write(tmp_path, "input.json", payload)
+    assert cli.run([command, path, *flags]) == exit_code
+    out = capsys.readouterr().out.encode("utf-8")
+    assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)

@@ -157,3 +157,48 @@ def test_sequence_prefix_validation():
         SequencePrefix(GRAM, [[1, 0, 0]])  # too short
     with pytest.raises(ValueError):
         SequencePrefix(GRAM, [[1, 0], [0, 1]])  # wrong dimension
+
+
+def test_sequence_prefix_names_first_bad_row():
+    elements = np.random.default_rng(0).standard_normal((100_000, 3))
+    elements[70_000, 1] = np.nan
+    elements[90_000, 0] = np.inf
+    with pytest.raises(ValueError, match=r"^elements\[70000\]: coordinates must be finite$"):
+        SequencePrefix(GRAM, elements)
+    rows = elements.tolist()
+    rows[80_000] = [1.0, 2.0]  # ragged after the first non-finite row
+    with pytest.raises(ValueError, match=r"^elements\[70000\]: coordinates must be finite$"):
+        SequencePrefix(GRAM, rows)
+
+
+@pytest.mark.parametrize(
+    "elements, message",
+    [
+        ([[1, 0], [0, 1]], "elements[0]: dimension mismatch, expected 3 coordinates, got shape (2,)"),
+        (
+            [[1, 0, 0], [0, 1], [0, 0, np.nan]],
+            "elements[1]: dimension mismatch, expected 3 coordinates, got shape (2,)",
+        ),
+        ([[1, 0, 0], [0, np.inf, 0], [0, 1]], "elements[1]: coordinates must be finite"),
+        ([1.0, 2.0, 3.0], "elements[0]: dimension mismatch, expected 3 coordinates, got shape ()"),
+        (
+            [[[1, 0, 0]], [[0, 1, 0]]],
+            "elements[0]: dimension mismatch, expected 3 coordinates, got shape (1, 3)",
+        ),
+        ([[1, 0, 0]], "a sequence prefix needs at least 2 elements"),
+        ([], "a sequence prefix needs at least 2 elements"),
+    ],
+)
+def test_sequence_prefix_messages(elements, message):
+    with pytest.raises(ValueError) as info:
+        SequencePrefix(GRAM, elements)
+    assert str(info.value) == message
+
+
+def test_sequence_prefix_copies_rows():
+    elements = np.array([[1.0, 0.0, 0.0], [0.5, 0.0, 0.0]])
+    seq = SequencePrefix(GRAM, iter(elements.tolist()))
+    assert np.array_equal(seq.elements, elements)
+    seq = SequencePrefix(GRAM, elements)
+    elements[0, 0] = 7.0
+    assert seq.elements[0, 0] == 1.0

@@ -15,6 +15,7 @@ from pairnorm import (
     two_norm,
     two_norm_rows,
 )
+from pairnorm.spaces import _BLOCK_ROWS, _euclid_rows
 
 GRAM = EuclideanGram(3)
 WHITE1 = WhitePolynomial(1, (0.0, 1.0))
@@ -232,3 +233,71 @@ def test_gram_extreme_scales():
     # one row against many, as in the batch form
     out = two_norm_rows(GRAM, [[0, 0, 1e-200]], [[1, 0, 0], [0, 2, 0], [0, 0, 3]])
     assert out == pytest.approx([1e-200, 2e-200, 0.0], rel=1e-12, abs=0)
+
+
+# The blocked EuclideanGram kernel against one unblocked call of its body.
+
+BLOCK_NS = [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1, 100_000]
+
+
+@pytest.mark.parametrize("d", [2, 8, 16])
+@pytest.mark.parametrize("n", BLOCK_NS)
+def test_blocked_kernel_keeps_bits(n, d):
+    rng = np.random.default_rng(n * 31 + d)
+    X = rng.standard_normal((n, d))
+    Y = rng.standard_normal((n, d))
+    space = EuclideanGram(d)
+    assert np.array_equal(two_norm_rows(space, X, Y), _euclid_rows(X, Y))
+    # one row against every row of the other operand, in either slot
+    y = Y[:1]
+    assert np.array_equal(two_norm_rows(space, X, y), _euclid_rows(X, y))
+    assert np.array_equal(two_norm_rows(space, y, X), _euclid_rows(y, X))
+
+
+@pytest.mark.parametrize("d", [2, 8, 16])
+def test_blocked_kernel_rescaled_rows_at_block_edges(d):
+    n = 2 * _BLOCK_ROWS + 3
+    rng = np.random.default_rng(d)
+    X = rng.standard_normal((n, d))
+    Y = rng.standard_normal((n, d))
+    # tiny, huge and exactly zero rows on both sides of each block boundary
+    for edge in (_BLOCK_ROWS, 2 * _BLOCK_ROWS):
+        X[edge - 2] *= 1e-200
+        Y[edge - 1] *= 1e200
+        X[edge] = 0.0
+        X[edge + 1] *= 1e200
+        Y[edge + 1] *= 1e-200
+        Y[edge + 2] = 0.0
+    space = EuclideanGram(d)
+    out = two_norm_rows(space, X, Y)
+    assert np.array_equal(out, _euclid_rows(X, Y))
+    assert np.all(np.isfinite(out))
+    edge = _BLOCK_ROWS
+    assert out[edge] == 0.0 and out[edge + 2] == 0.0
+    for i in (edge - 2, edge - 1, edge + 1):
+        ref = two_norm(space, X[i] / np.abs(X[i]).max(), Y[i] / np.abs(Y[i]).max())
+        scale = np.abs(X[i]).max() * np.abs(Y[i]).max()
+        assert out[i] == pytest.approx(ref * scale, rel=1e-12)
+    # a zero, an ordinary and a tiny broadcast row (a huge one would make
+    # areas with the huge rows of X overflow)
+    for y in (np.zeros((1, d)), Y[:1], Y[edge + 1 : edge + 2]):
+        assert np.array_equal(two_norm_rows(space, X, y), _euclid_rows(X, y))
+
+
+def test_seminorm_map_keeps_bits_in_range():
+    rng = np.random.default_rng(11)
+    for _ in range(200):
+        d = int(rng.integers(2, 20))
+        b = rng.standard_normal(d) * 10.0 ** rng.uniform(-60, 60)
+        nb = float(np.linalg.norm(b))
+        assert np.array_equal(seminorm_map(EuclideanGram(d), b), nb * np.eye(d) - np.outer(b, b) / nb)
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e-160, 1e160, 1e200, 1e300])
+def test_seminorm_map_extreme_direction(scale):
+    # M = |b| (I - u u^T) with u = b / |b|, here |b| = 5 * scale
+    b = np.array([0.0, 3.0, 4.0]) * scale
+    M = seminorm_map(GRAM, b)
+    u = np.array([0.0, 0.6, 0.8])
+    assert np.all(np.isfinite(M))
+    np.testing.assert_allclose(M / (5.0 * scale), np.eye(3) - np.outer(u, u), rtol=1e-12, atol=1e-15)
