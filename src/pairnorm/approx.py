@@ -39,10 +39,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .spaces import (
+    _SV_RATIO_MIN,
     EuclideanGram,
     SpaceSpec,
     WhitePolynomial,
     _row_norms,
+    _sv_ratio,
+    as_direction,
     as_element,
     as_elements,
     element_dim,
@@ -109,19 +112,25 @@ class SolverConfig:
 
 
 class SubspaceBasis:
-    """An ordered list of linearly independent vectors; k = 0 is the trivial subspace."""
+    """An ordered list of linearly independent vectors; k = 0 is the trivial subspace.
+
+    The vectors, scaled to unit length, are rejected as dependent when their
+    smallest singular value is at most 5e-7 times the largest
+    (``spaces._SV_RATIO_MIN``), whatever their lengths and number.
+    """
 
     def __init__(self, space: SpaceSpec, vectors: Sequence) -> None:
         self.space = space
         self.matrix = as_elements(space, vectors, "basis")
         if self.k:
-            norms = _row_norms(self.matrix)
-            if np.any(norms == 0.0):
+            if not self.matrix.any(axis=1).all():
                 raise ValueError("basis contains a zero vector")
-            unit = self.matrix / norms[:, None]
-            gram = unit @ unit.T
-            if np.linalg.det(gram) <= 1e-12:
-                raise ValueError("basis vectors are numerically linearly dependent")
+            ratio = _sv_ratio(self.matrix)
+            if ratio <= _SV_RATIO_MIN:
+                raise ValueError(
+                    "basis vectors are numerically linearly dependent "
+                    f"(singular-value ratio {ratio:.1e} <= {_SV_RATIO_MIN:.0e})"
+                )
 
     @property
     def k(self) -> int:
@@ -160,9 +169,7 @@ class SimultaneousProblem:
         if not isinstance(g_basis, SubspaceBasis):
             g_basis = SubspaceBasis(space, g_basis)
         self.g_basis = g_basis
-        self.b = as_element(space, b, "b")
-        if not np.any(self.b != 0.0):
-            raise ValueError("b: direction must be nonzero")
+        self.b = as_direction(space, b)
         self.solver = solver if solver is not None else SolverConfig()
         self.b_independent = _independent_from_span(
             np.vstack([self.targets, self.g_basis.matrix]), self.b
@@ -234,14 +241,6 @@ class RestartResult:
     iterations: int
     converged: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "start": list(self.start),
-            "value": self.value,
-            "iterations": self.iterations,
-            "converged": self.converged,
-        }
-
 
 @dataclass
 class SolveReport:
@@ -250,15 +249,6 @@ class SolveReport:
     converged: bool
     per_restart: list[RestartResult]
     spread: float
-
-    def to_dict(self) -> dict:
-        return {
-            "g_star": [float(v) for v in self.g_star],
-            "value": self.value,
-            "converged": self.converged,
-            "per_restart": [r.to_dict() for r in self.per_restart],
-            "spread": self.spread,
-        }
 
 
 @dataclass
@@ -781,9 +771,7 @@ def _grid_min(obj: _Objective, axes: list[np.ndarray]) -> tuple[float, np.ndarra
 def _subspace_parts(space: SpaceSpec, w_basis, b) -> tuple[SubspaceBasis, np.ndarray]:
     if not isinstance(w_basis, SubspaceBasis):
         w_basis = SubspaceBasis(space, w_basis)
-    bv = as_element(space, b, "b")
-    if not np.any(bv != 0.0):
-        raise ValueError("b: direction must be nonzero")
+    bv = as_direction(space, b)
     if not _independent_from_span(w_basis.matrix, bv):
         raise ValueError("b must be linearly independent from the subspace span")
     return w_basis, bv
@@ -847,12 +835,6 @@ class Certificate:
         """F(x, beta*b)."""
         return float(beta) * float(self.functional @ np.asarray(x, dtype=float))
 
-    def to_dict(self) -> dict:
-        return {
-            "functional": [float(v) for v in self.functional],
-            "delta": self.delta,
-        }
-
 
 def certificate(space: SpaceSpec, x0, w_basis, b) -> Certificate:
     """Construct the dual certificate for ``distance_to_subspace``.
@@ -887,18 +869,6 @@ class CertificateSoundness:
     h_at_x0: float
     samples: int
     passed: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "bound": self.bound,
-            "max_ratio": self.max_ratio,
-            "attained_ratio": self.attained_ratio,
-            "h_on_basis_max": self.h_on_basis_max,
-            "h_at_x0": self.h_at_x0,
-            "samples": self.samples,
-            "passed": self.passed,
-        }
 
 
 def certificate_soundness(
@@ -967,9 +937,6 @@ class BlendEntry:
     value: float
     ok: bool
 
-    def to_dict(self) -> dict:
-        return {"lam": self.lam, "value": self.value, "ok": self.ok}
-
 
 @dataclass
 class BlendReport:
@@ -980,14 +947,6 @@ class BlendReport:
     @property
     def passed(self) -> bool:
         return all(e.ok for e in self.entries)
-
-    def to_dict(self) -> dict:
-        return {
-            "value_g1": self.value_g1,
-            "value_g2": self.value_g2,
-            "entries": [e.to_dict() for e in self.entries],
-            "passed": self.passed,
-        }
 
 
 def blend_check(
@@ -1038,14 +997,6 @@ class UniquenessReport:
     spread: float
     restarts: int
     values: list[float] = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "distinct_optimizers": self.distinct_optimizers,
-            "spread": self.spread,
-            "restarts": self.restarts,
-            "values": list(self.values),
-        }
 
 
 def uniqueness_probe(

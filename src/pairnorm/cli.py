@@ -81,8 +81,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(jsonio.dumps(payload) + "\n")
+def _emit(payload) -> None:
+    sys.stdout.write(jsonio.dumps(jsonio.to_dict(payload)) + "\n")
 
 
 def _single_target_parts(problem: approx.SimultaneousProblem):
@@ -96,7 +96,7 @@ def _single_target_parts(problem: approx.SimultaneousProblem):
 def _cmd_check_axioms(args) -> int:
     space = jsonio.space_from_dict(jsonio.load_json(args.file))
     report = spaces.check_axioms(space, args.samples, seed=args.seed, tol=args.tol)
-    _emit(report.to_dict())
+    _emit(report)
     if not report.passed:
         print(f"{len(report.violations)} axiom violation(s) found", file=sys.stderr)
         return EXIT_VIOLATIONS
@@ -125,7 +125,7 @@ def _cmd_distance(args) -> int:
     x0, basis, b = _single_target_parts(problem)
     cfg = _overridden_solver(problem, args)
     delta, w_star, converged = approx._distance(problem.space, x0, basis, b, cfg)
-    _emit({"delta": delta, "w_star": [float(v) for v in w_star]})
+    _emit({"delta": delta, "w_star": w_star})
     return _convergence_exit(converged)
 
 
@@ -133,13 +133,12 @@ def _cmd_solve(args) -> int:
     problem, _ = jsonio.problem_from_dict(jsonio.load_json(args.file))
     problem.solver = _overridden_solver(problem, args)
     report = approx.solve(problem)
-    payload = {"solver": jsonio.solver_to_dict(problem.solver)}
-    payload.update(report.to_dict())
+    payload = {"solver": problem.solver, **jsonio.to_dict(report)}
     if args.oracle:
         value, g = approx.oracle_solve(problem, args.radius, args.resolution)
         payload["oracle"] = {
             "value": value,
-            "g": [float(v) for v in g],
+            "g": g,
             "radius": args.radius,
             "resolution": args.resolution,
         }
@@ -154,9 +153,7 @@ def _cmd_certificate(args) -> int:
     soundness = approx.certificate_soundness(
         problem.space, cert, x0, basis, b, samples=args.samples, seed=args.seed
     )
-    payload = cert.to_dict()
-    payload["soundness"] = soundness.to_dict()
-    _emit(payload)
+    _emit({**jsonio.to_dict(cert), "soundness": soundness})
     if not soundness.passed:
         print("certificate failed its sampled bound", file=sys.stderr)
         return EXIT_VIOLATIONS
@@ -170,7 +167,7 @@ def _cmd_blend(args) -> int:
     report = approx.blend_check(
         problem, blend["g1"], blend["g2"], blend.get("lambdas"), tol=args.tol
     )
-    _emit(report.to_dict())
+    _emit(report)
     if not report.passed:
         print("blend exceeded the endpoint value", file=sys.stderr)
         return EXIT_VIOLATIONS
@@ -181,8 +178,7 @@ def _cmd_uniqueness(args) -> int:
     problem, _ = jsonio.problem_from_dict(jsonio.load_json(args.file))
     if args.seed is not None:
         problem.solver = jsonio.apply_solver_overrides(problem.solver, seed=args.seed)
-    report = approx.uniqueness_probe(problem, restarts=args.restarts)
-    _emit(report.to_dict())
+    _emit(approx.uniqueness_probe(problem, restarts=args.restarts))
     return EXIT_OK
 
 
@@ -192,20 +188,17 @@ def _cmd_sequence(args) -> int:
     exit_code = EXIT_OK
     tail_from = args.tail_from if args.tail_from is not None else len(seq) // 2
     if seq.probe_y is not None and seq.probe_z is not None:
-        payload["cauchy"] = sequences.cauchy_profile(space, seq, tail_from).to_dict()
+        payload["cauchy"] = sequences.cauchy_profile(space, seq, tail_from)
     if limit is not None and seq.probe_y is not None:
         report = sequences.norm_limit_check(space, seq, limit, seq.probe_y)
-        payload["norm_limit"] = report.to_dict()
+        payload["norm_limit"] = report
         if not report.passed:
             print("reverse-triangle bound violated", file=sys.stderr)
             exit_code = EXIT_VIOLATIONS
     if limit is not None and probe_dirs:
-        payload["convergence"] = [
-            p.to_dict()
-            for p in sequences.convergence_profile(
-                space, seq, limit, probe_dirs, tail_from=args.tail_from
-            )
-        ]
+        payload["convergence"] = sequences.convergence_profile(
+            space, seq, limit, probe_dirs, tail_from=args.tail_from
+        )
     if not payload:
         raise jsonio.ValidationError(
             "probes", "nothing to compute; provide probes y and z, or a limit"

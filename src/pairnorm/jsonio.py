@@ -5,15 +5,17 @@ Files name a space as {"kind": "euclidean_gram", "dim": n} or
 adds targets, g_basis, b, and an optional solver block; a sequence file adds
 elements, probes, and optionally a limit with probe directions.
 
-``dumps`` emits floats with 17 significant digits so identical runs produce
-byte-identical output.
+Reports are plain dataclasses; :func:`to_dict` is the one encoder of their
+wire form (fields in declaration order, then ``passed``).  ``dumps`` emits
+floats with 17 significant digits so identical runs produce byte-identical
+output.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from typing import Any, Optional
 
 import numpy as np
@@ -24,10 +26,10 @@ from .spaces import EuclideanGram, SpaceSpec, WhitePolynomial
 
 __all__ = [
     "ValidationError",
+    "to_dict",
     "dumps",
     "load_json",
     "space_from_dict",
-    "space_to_dict",
     "solver_from_dict",
     "problem_from_dict",
     "sequence_from_dict",
@@ -87,6 +89,30 @@ def _emit(obj: Any, out: list[str], indent: int) -> None:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
+_PLAIN = frozenset({bool, int, float, str, type(None)})  # skipped inline: no call per number
+
+
+def to_dict(obj: Any) -> Any:
+    """The wire form of ``obj`` for :func:`dumps`: a dataclass becomes a dict of
+    its fields in declaration order, led by its ``kind`` if it is a space and
+    followed by ``passed`` if its class defines that property; an ndarray
+    becomes a list; dicts, lists and tuples are converted element by element;
+    any other value is returned unchanged."""
+    if isinstance(obj, (list, tuple)):
+        return [val if type(val) in _PLAIN else to_dict(val) for val in obj]
+    if isinstance(obj, dict):
+        return {k: v if type(v) in _PLAIN else to_dict(v) for k, v in obj.items()}
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if is_dataclass(obj) and not isinstance(obj, type):
+        out = {"kind": obj.kind} if hasattr(obj, "kind") else {}
+        out.update((f.name, to_dict(getattr(obj, f.name))) for f in fields(obj))
+        if isinstance(getattr(type(obj), "passed", None), property):
+            out["passed"] = obj.passed
+        return out
+    return obj
+
+
 def dumps(obj: Any) -> str:
     out: list[str] = []
     _emit(obj, out, 0)
@@ -142,9 +168,9 @@ def _as_vector_list(value: Any, field: str, allow_empty: bool = False) -> list[l
 def space_from_dict(obj: Any, field: str = "space") -> SpaceSpec:
     kind = _require(obj, "kind", field)
     try:
-        if kind == "euclidean_gram":
+        if kind == EuclideanGram.kind:
             return EuclideanGram(dim=_as_int(_require(obj, "dim", field), f"{field}.dim"))
-        if kind == "white_polynomial":
+        if kind == WhitePolynomial.kind:
             degree = _as_int(_require(obj, "degree", field), f"{field}.degree")
             points = _require(obj, "points", field)
             if not isinstance(points, list):
@@ -163,16 +189,6 @@ def space_from_dict(obj: Any, field: str = "space") -> SpaceSpec:
         f"{field}.kind",
         f"unknown kind {kind!r}; use 'euclidean_gram' or 'white_polynomial'",
     )
-
-
-def space_to_dict(space: SpaceSpec) -> dict:
-    if isinstance(space, EuclideanGram):
-        return {"kind": "euclidean_gram", "dim": space.dim}
-    return {
-        "kind": "white_polynomial",
-        "degree": space.degree,
-        "points": list(space.points),
-    }
 
 
 _SOLVER_KEYS = {"max_iters", "tol", "restarts", "seed", "step0"}
@@ -197,16 +213,6 @@ def solver_from_dict(obj: Any, field: str = "solver") -> SolverConfig:
         return SolverConfig(**kwargs)
     except ValueError as exc:
         raise ValidationError(field, str(exc)) from exc
-
-
-def solver_to_dict(cfg: SolverConfig) -> dict:
-    return {
-        "max_iters": cfg.max_iters,
-        "tol": cfg.tol,
-        "restarts": cfg.restarts,
-        "seed": cfg.seed,
-        "step0": cfg.step0,
-    }
 
 
 def problem_from_dict(obj: Any, field: str = "") -> tuple[SimultaneousProblem, Optional[dict]]:

@@ -19,6 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .spaces import SpaceSpec, as_element, as_elements, two_norm_rows
+from .spaces import _SV_RATIO_MIN, _sv_ratio
 
 __all__ = [
     "SequencePrefix",
@@ -54,9 +55,6 @@ class CauchyProfile:
     sup_z: float
     tail_from: int
 
-    def to_dict(self) -> dict:
-        return {"sup_y": self.sup_y, "sup_z": self.sup_z, "tail_from": self.tail_from}
-
 
 def cauchy_profile(space: SpaceSpec, seq: SequencePrefix, tail_from: int) -> CauchyProfile:
     """Tail suprema sup ||x_n - x_m, y|| and sup ||x_n - x_m, z||.
@@ -72,12 +70,14 @@ def cauchy_profile(space: SpaceSpec, seq: SequencePrefix, tail_from: int) -> Cau
     if seq.probe_y is None or seq.probe_z is None:
         raise ValueError("cauchy_profile needs both probes y and z")
     pair = np.vstack([seq.probe_y, seq.probe_z])
-    norms = np.linalg.norm(pair, axis=1)
-    if np.any(norms == 0.0):
+    if not pair.any(axis=1).all():
         raise ValueError("probes must be nonzero")
-    unit = pair / norms[:, None]
-    if np.linalg.det(unit @ unit.T) <= 1e-12:
-        raise ValueError("probes y and z must be linearly independent")
+    ratio = _sv_ratio(pair)
+    if ratio <= _SV_RATIO_MIN:
+        raise ValueError(
+            "probes y and z must be linearly independent "
+            f"(singular-value ratio {ratio:.1e} <= {_SV_RATIO_MIN:.0e})"
+        )
 
     tail = seq.elements[tail_from:]
     i, j = np.triu_indices(tail.shape[0], 1)
@@ -93,14 +93,6 @@ class ProbeProfile:
     series: list[float]
     tail_max: float
     blind_spot: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "probe": list(self.probe),
-            "series": list(self.series),
-            "tail_max": self.tail_max,
-            "blind_spot": self.blind_spot,
-        }
 
 
 def convergence_profile(
@@ -148,14 +140,6 @@ class NormLimitReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "max_deviation": self.max_deviation,
-            "deviations": list(self.deviations),
-            "violations": list(self.violations),
-            "passed": self.passed,
-        }
 
 
 def norm_limit_check(

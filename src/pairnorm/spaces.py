@@ -34,7 +34,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional, Union
+from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
 
@@ -45,6 +45,7 @@ __all__ = [
     "element_dim",
     "as_element",
     "as_elements",
+    "as_direction",
     "two_norm",
     "two_norm_rows",
     "seminorm_b",
@@ -62,6 +63,7 @@ __all__ = [
 class EuclideanGram:
     """R^dim with the parallelogram-area 2-norm."""
 
+    kind: ClassVar[str] = "euclidean_gram"
     dim: int
 
     def __post_init__(self) -> None:
@@ -79,6 +81,7 @@ class WhitePolynomial:
     order first.  Derivatives are taken exactly on the coefficients.
     """
 
+    kind: ClassVar[str] = "white_polynomial"
     degree: int
     points: tuple[float, ...]
 
@@ -149,6 +152,14 @@ def as_elements(space: SpaceSpec, rows, name: str = "elements") -> np.ndarray:
     return np.array(checked, dtype=float).reshape(len(checked), d)
 
 
+def as_direction(space: SpaceSpec, b, name: str = "b") -> np.ndarray:
+    """Validate ``b`` as a nonzero element of ``space``, the direction of a seminorm."""
+    bv = as_element(space, b, name)
+    if not np.any(bv != 0.0):
+        raise ValueError(f"{name}: direction must be nonzero")
+    return bv
+
+
 @lru_cache(maxsize=None)
 def _poly_tables(space: WhitePolynomial) -> tuple[np.ndarray, np.ndarray]:
     # V[k, j] = t_k**j, Vd[k, j] = j * t_k**(j-1): evaluation and exact derivative.
@@ -186,6 +197,21 @@ def _row_norms(X: np.ndarray) -> np.ndarray:
     Z = X[bad] / s[:, None]
     out[bad] = s * np.sqrt(np.einsum("ij,ij->i", Z, Z))
     return out
+
+
+# Unit-length rows with sigma_min / sigma_max at or below this are dependent;
+# for two rows at angle theta the ratio is tan(theta / 2): sin(theta) <= 1e-6.
+_SV_RATIO_MIN = 5e-7
+
+
+def _sv_ratio(X: np.ndarray) -> float:
+    """sigma_min / sigma_max of the rows of ``X`` scaled to unit length by
+    :func:`_row_norms`; 0 when a row is zero or rows outnumber coordinates."""
+    norms = _row_norms(X)
+    if X.shape[0] > X.shape[1] or not norms.all():
+        return 0.0
+    s = np.linalg.svd(X / norms[:, None], compute_uv=False)
+    return float(s[-1] / s[0])
 
 
 def _gram_area(
@@ -288,9 +314,7 @@ def two_norm(space: SpaceSpec, x, y) -> float:
 
 def seminorm_b(space: SpaceSpec, b, x) -> float:
     """The seminorm p_b(x) = ||x, b|| for a fixed nonzero direction b."""
-    bv = as_element(space, b, "b")
-    if not np.any(bv != 0.0):
-        raise ValueError("b: direction must be nonzero")
+    bv = as_direction(space, b)
     xv = as_element(space, x, "x")
     return float(two_norm_rows(space, xv[None, :], bv[None, :])[0])
 
@@ -303,9 +327,7 @@ def seminorm_map(space: SpaceSpec, b) -> np.ndarray:
     gives subgradients directly; it agrees with :func:`seminorm_b` up to
     rounding.
     """
-    bv = as_element(space, b, "b")
-    if not np.any(bv != 0.0):
-        raise ValueError("b: direction must be nonzero")
+    bv = as_direction(space, b)
     if isinstance(space, EuclideanGram):
         with np.errstate(over="ignore"):  # an overflow lands outside the range
             sq = float(bv @ bv)
@@ -333,9 +355,6 @@ class AxiomViolation:
     index: int
     detail: dict
 
-    def to_dict(self) -> dict:
-        return {"check": self.check, "index": self.index, "detail": self.detail}
-
 
 @dataclass
 class AxiomReport:
@@ -351,19 +370,6 @@ class AxiomReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        from .jsonio import space_to_dict
-
-        return {
-            "space": space_to_dict(self.space),
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "counts": dict(self.counts),
-            "violations": [v.to_dict() for v in self.violations],
-            "passed": self.passed,
-        }
 
 
 def _record(
@@ -496,15 +502,6 @@ class IdentityReport:
     def passed(self) -> bool:
         return not self.violations
 
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "violations": list(self.violations),
-            "passed": self.passed,
-        }
-
 
 def shift_identity_check(
     space: SpaceSpec, samples: int, seed: int = 0, tol: float = 1e-9
@@ -545,18 +542,6 @@ class DependentTripleReport:
     @property
     def passed(self) -> bool:
         return not self.violations
-
-    def to_dict(self) -> dict:
-        return {
-            "samples": self.samples,
-            "seed": self.seed,
-            "tol": self.tol,
-            "branch_plus": self.branch_plus,
-            "branch_minus": self.branch_minus,
-            "branch_both": self.branch_both,
-            "violations": list(self.violations),
-            "passed": self.passed,
-        }
 
 
 def dependent_triple_check(

@@ -23,8 +23,10 @@ from pairnorm import (
     set_distance,
     solve,
     two_norm,
+    two_norm_rows,
     uniqueness_probe,
 )
+from pairnorm.jsonio import to_dict
 
 GRAM = EuclideanGram(3)
 WHITE = WhitePolynomial(1, (0.0, 1.0))
@@ -90,9 +92,7 @@ def test_distance_matches_tiny_grid():
         u = rng.uniform(-1, 1, 3)
         delta, _ = distance_to_subspace(GRAM, x0, SubspaceBasis(GRAM, [u]), E3)
         alphas = np.linspace(-4, 4, 20001)
-        grid = min(
-            two_norm(GRAM, x0 - a * np.asarray(u), E3) for a in alphas
-        )
+        grid = two_norm_rows(GRAM, x0 - alphas[:, None] * u, np.array([E3])).min()
         assert delta <= grid + 1e-9
         assert abs(delta - grid) <= 1e-3
 
@@ -174,7 +174,7 @@ def test_solve_deterministic():
     prob1 = gram_problem([[0.4, 0.9, 0], [-0.2, 0.3, 0]], [E1, E2], seed=5)
     prob2 = gram_problem([[0.4, 0.9, 0], [-0.2, 0.3, 0]], [E1, E2], seed=5)
     a, b = solve(prob1), solve(prob2)
-    assert a.to_dict() == b.to_dict()
+    assert to_dict(a) == to_dict(b)
 
 
 def test_solve_requires_independent_b():
@@ -846,3 +846,43 @@ def test_huge_basis_vector_is_independent():
     rep = solve(prob)
     assert rep.value == pytest.approx(1.0, rel=1e-12)
     assert rep.g_star == pytest.approx([1.0, 0.0, 0.0], rel=1e-12)
+
+
+def test_basis_conditioning_ignores_k():
+    # det(unit Gram) is the product of all k squared singular values and
+    # rejected these well-conditioned bases; the singular-value ratio does not
+    rng = np.random.default_rng(0)
+    basis = SubspaceBasis(EuclideanGram(48), rng.standard_normal((44, 48)))
+    assert basis.k == 44
+    square = rng.standard_normal((32, 32))
+    u, _, vt = np.linalg.svd(square)
+    SubspaceBasis(EuclideanGram(32), u @ np.diag(np.geomspace(1.0, 87.0, 32)) @ vt)
+
+
+@pytest.mark.parametrize("sin_theta, accepted", [(2e-6, True), (5e-7, False)])
+def test_basis_pair_threshold(sin_theta, accepted):
+    # for k = 2 the ratio is tan(theta / 2): the det(unit Gram) <= 1e-12
+    # boundary of sin(theta) = 1e-6 stays where it was
+    rng = np.random.default_rng(11)
+    pair = np.array([[1.0, 0.0, 0.0], [math.sqrt(1.0 - sin_theta**2), sin_theta, 0.0]])
+    for _ in range(20):
+        q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
+        rows = (pair @ q.T) * rng.uniform(1e-3, 1e3, (2, 1))
+        if accepted:
+            assert SubspaceBasis(GRAM, rows).k == 2
+        else:
+            with pytest.raises(
+                ValueError,
+                match=r"^basis vectors are numerically linearly dependent "
+                r"\(singular-value ratio 2\.5e-07 <= 5e-07\)$",
+            ):
+                SubspaceBasis(GRAM, rows)
+
+
+def test_basis_duplicates_and_zero_rows():
+    with pytest.raises(ValueError, match="dependent"):
+        SubspaceBasis(GRAM, [[0.3, -1.0, 2.0], [0.3, -1.0, 2.0]])
+    with pytest.raises(ValueError, match="dependent"):
+        SubspaceBasis(GRAM, [E1, E2, E3, [1, 1, 1]])
+    with pytest.raises(ValueError, match="zero vector"):
+        SubspaceBasis(GRAM, [E1, [0, 0, 0]])

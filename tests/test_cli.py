@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from pairnorm import cli
@@ -334,10 +335,29 @@ def test_solve_huge_direction_subprocess(tmp_path):
     assert json.loads(out.stdout)["value"] == pytest.approx(1e10, rel=1e-12)
 
 
+def test_solve_many_basis_vectors(tmp_path, capsys):
+    # a well-conditioned 44 x 48 Gaussian basis, once rejected as dependent
+    # because det(unit Gram) shrinks with k
+    rng = np.random.default_rng(0)
+    payload = {
+        "space": {"kind": "euclidean_gram", "dim": 48},
+        "g_basis": rng.standard_normal((44, 48)).tolist(),
+        "targets": rng.standard_normal((2, 48)).tolist(),
+        "b": rng.standard_normal(48).tolist(),
+    }
+    path = write(tmp_path, "problem.json", payload)
+    code, out, _ = run_cli(capsys, "solve", path)
+    assert code == 0
+    assert out["converged"] is True
+
+
 # Reports whose bytes must not move when the batch layer changes: SHA-256 and
 # length of stdout, as written by the unblocked kernel with per-row validation
 # (numpy 2.4.6 with OpenBLAS, x86-64).  The sweeps run past one kernel block
 # and print every violation's values; the sequences evaluate 7140 Cauchy pairs.
+# The problem reports (solve, the grid oracle, distance, certificate,
+# uniqueness, blend) were recorded from the per-class serializers that
+# ``jsonio.to_dict`` replaced; ``certificate`` on White is the error payload.
 
 WHITE3 = {"kind": "white_polynomial", "degree": 3, "points": [0, 0.125, 0.25, 0.5, 0.75, 1]}
 
@@ -363,7 +383,29 @@ def golden_sequence(space, d, n):
     }
 
 
+def golden_problem(space, d, m, k):
+    """m targets, k basis vectors and b in general position; the blend
+    segment runs from g1 along b, on which the seminorm does not change."""
+    basis = [[_coord(j + 5, c * (c + j) + 53) for c in range(d)] for j in range(k)]
+    b = [_coord(9, c * c + 61) + 1 for c in range(d)]
+    g1 = [0.25 * v for v in basis[0]]
+    return {
+        "space": space,
+        "targets": [[_coord(j, c * (c + j) + 37) for c in range(d)] for j in range(m)],
+        "g_basis": basis,
+        "b": b,
+        "blend": {"g1": g1, "g2": [g + v for g, v in zip(g1, b)]},
+    }
+
+
+EUCLID6 = {"kind": "euclidean_gram", "dim": 6}
+WHITE5 = {
+    "kind": "white_polynomial",
+    "degree": 5,
+    "points": [0, 0.0625, 0.125, 0.25, 0.375, 0.5, 0.625, 0.75, 0.875, 1],
+}
 SWEEP_FLAGS = ["--samples", "3000", "--seed", "5", "--tol", "1e-16"]
+ORACLE_FLAGS = ["--oracle", "--resolution", "41"]
 GOLDEN = {
     "check-axioms-euclid": (
         "check-axioms", SWEEP_FLAGS, {"kind": "euclidean_gram", "dim": 4}, 3, 703308,
@@ -381,6 +423,54 @@ GOLDEN = {
     "sequence-white": (
         "sequence", ["--tail-from", "0"], golden_sequence(WHITE3, 4, 120), 0, 8529,
         "d795967f50a520d92139b677de51bf38c63053255e0c7fd3780035fb7d45ae0b",
+    ),
+    "solve-euclid": (
+        "solve", [], golden_problem(EUCLID6, 6, 3, 2), 0, 1538,
+        "a1821b846b4bd6a9389685b0ef65da8897e0cae80285dceefda48265dd700a9d",
+    ),
+    "solve-oracle-euclid": (
+        "solve", ORACLE_FLAGS, golden_problem(EUCLID6, 6, 3, 2), 0, 1773,
+        "32783a4487415d1cf54cd2632452600fbc6aa7c6273592720cb4139a26b40eb4",
+    ),
+    "distance-euclid": (
+        "distance", [], golden_problem(EUCLID6, 6, 1, 2), 0, 179,
+        "ed9a9abac451a989c7d7e00b9a1545da70ee87321abbc06f1ff21fd3ffd1609c",
+    ),
+    "certificate-euclid": (
+        "certificate", [], golden_problem(EUCLID6, 6, 1, 2), 0, 452,
+        "4f344563086e28a9d73f83292dfbf060fc93dcb566150ec18f95a7c64ba181ca",
+    ),
+    "uniqueness-euclid": (
+        "uniqueness", [], golden_problem(EUCLID6, 6, 3, 2), 0, 387,
+        "2f0c93590fafa379fe0a2d4e5dbfc8f238788090121bec64fae202ec2a181707",
+    ),
+    "blend-euclid": (
+        "blend", [], golden_problem(EUCLID6, 6, 3, 2), 0, 1097,
+        "a3c19e92e4662ec5bff9ee574e41382f01023a8d397f7c6fbf39da61476f1c49",
+    ),
+    "solve-white": (
+        "solve", [], golden_problem(WHITE5, 6, 3, 2), 0, 1556,
+        "b809b6be0bf84cf66c055144fca892e96c9885cd96ab25be86e9e5770b215404",
+    ),
+    "solve-oracle-white": (
+        "solve", ORACLE_FLAGS, golden_problem(WHITE5, 6, 3, 2), 0, 1773,
+        "0472bdb0fb3d960fd0048f130a4bbc4f9245ae5ed5f517587cc3386396657fcd",
+    ),
+    "distance-white": (
+        "distance", [], golden_problem(WHITE5, 6, 1, 2), 0, 174,
+        "278fbb645d575e263ba203e79656f299491680279acd8e11778b903db21fa7a7",
+    ),
+    "certificate-white": (
+        "certificate", [], golden_problem(WHITE5, 6, 1, 2), 1, 97,
+        "9ae2d94585ee441e6ddc408a56569439ffe3377b3efbe081ad8108ccf739b0f2",
+    ),
+    "uniqueness-white": (
+        "uniqueness", [], golden_problem(WHITE5, 6, 3, 2), 0, 419,
+        "7ca31edffe0e5cec965bd68ee0942d88b299256493ef07ec0197a257ccb2ab41",
+    ),
+    "blend-white": (
+        "blend", [], golden_problem(WHITE5, 6, 3, 2), 0, 1097,
+        "958fb463dedb0e0aa2ca3e3b67ce2cb7cee902221a28271a7766871472e457b2",
     ),
 }
 

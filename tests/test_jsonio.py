@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pairnorm import EuclideanGram, SolverConfig, WhitePolynomial
+from pairnorm.approx import BlendEntry, BlendReport, CertificateSoundness
 from pairnorm.jsonio import (
     ValidationError,
     apply_solver_overrides,
@@ -14,9 +15,8 @@ from pairnorm.jsonio import (
     problem_from_dict,
     sequence_from_dict,
     solver_from_dict,
-    solver_to_dict,
     space_from_dict,
-    space_to_dict,
+    to_dict,
 )
 
 PROBLEM = {
@@ -75,7 +75,7 @@ def test_dumps_deterministic():
 
 def test_space_roundtrip():
     for space in (EuclideanGram(4), WhitePolynomial(2, (0.0, 0.2, 0.4, 0.6))):
-        assert space_from_dict(space_to_dict(space)) == space
+        assert space_from_dict(to_dict(space)) == space
 
 
 def test_space_unknown_kind():
@@ -101,7 +101,7 @@ def test_space_invalid_values_are_validation_errors():
 
 def test_solver_roundtrip():
     cfg = SolverConfig(max_iters=500, tol=1e-7, restarts=3, seed=9, step0=0.5)
-    assert solver_from_dict(solver_to_dict(cfg)) == cfg
+    assert solver_from_dict(to_dict(cfg)) == cfg
 
 
 def test_solver_rejects_unknown_keys():
@@ -206,3 +206,18 @@ def test_load_json_roundtrip(tmp_path):
     path = tmp_path / "ok.json"
     path.write_text(dumps(PROBLEM), encoding="utf-8")
     assert load_json(str(path)) == json.loads(dumps(PROBLEM))
+
+
+def test_to_dict_rules():
+    report = BlendReport(1.0, np.float64(2.0), [BlendEntry(0.5, 1.5, True)])
+    assert list(to_dict(report)) == ["value_g1", "value_g2", "entries", "passed"]
+    assert to_dict(report)["entries"] == [{"lam": 0.5, "value": 1.5, "ok": True}]
+    # a ``passed`` field keeps its place and is not repeated
+    sound = CertificateSoundness(1.0, 1.0, 0.9, 1.0, 0.0, 1.0, 10, False)
+    assert list(to_dict(sound))[-2:] == ["samples", "passed"]
+    assert to_dict(WhitePolynomial(1, (0.0, 1.0))) == {
+        "kind": "white_polynomial",
+        "degree": 1,
+        "points": [0.0, 1.0],
+    }
+    assert to_dict({"a": (np.arange(2.0), None, "s")}) == {"a": [[0.0, 1.0], None, "s"]}

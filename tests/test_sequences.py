@@ -6,6 +6,7 @@ import pytest
 from pairnorm import (
     EuclideanGram,
     SequencePrefix,
+    WhitePolynomial,
     cauchy_profile,
     convergence_profile,
     norm_limit_check,
@@ -202,3 +203,28 @@ def test_sequence_prefix_copies_rows():
     seq = SequencePrefix(GRAM, elements)
     elements[0, 0] = 7.0
     assert seq.elements[0, 0] == 1.0
+
+
+@pytest.mark.parametrize("space", [GRAM, WhitePolynomial(2, (0.0, 0.25, 0.75, 1.0))])
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_cauchy_extreme_probe_scales(space, scale):
+    # the probes are normalized by _row_norms, which neither overflows nor
+    # underflows, before the independence check
+    elements = np.random.default_rng(4).uniform(-1, 1, (9, 3))
+    unit = cauchy_profile(space, SequencePrefix(space, elements, Y, [1, 0, 0]), 0)
+    seq = SequencePrefix(space, elements, [0, scale, 0], [scale, 0, 0])
+    prof = cauchy_profile(space, seq, tail_from=0)
+    assert prof.sup_y == pytest.approx(scale * unit.sup_y, rel=1e-12, abs=0)
+    assert prof.sup_z == pytest.approx(scale * unit.sup_z, rel=1e-12, abs=0)
+
+
+def test_cauchy_probe_margin_message():
+    seq = SequencePrefix(GRAM, [[1, 0, 0], [0, 1, 0]], probe_y=Y, probe_z=[0, 1, 1e-9])
+    with pytest.raises(
+        ValueError,
+        match=r"^probes y and z must be linearly independent \(singular-value ratio",
+    ):
+        cauchy_profile(GRAM, seq, tail_from=0)
+    seq = SequencePrefix(GRAM, [[1, 0, 0], [0, 1, 0]], probe_y=Y, probe_z=[0, 0, 0])
+    with pytest.raises(ValueError, match="probes must be nonzero"):
+        cauchy_profile(GRAM, seq, tail_from=0)

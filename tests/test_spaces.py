@@ -5,17 +5,21 @@ import pytest
 
 from pairnorm import (
     EuclideanGram,
+    SimultaneousProblem,
     WhitePolynomial,
     check_axioms,
     dependent_triple_check,
+    distance_to_subspace,
     element_dim,
     seminorm_b,
     seminorm_map,
+    set_distance,
     shift_identity_check,
     two_norm,
     two_norm_rows,
 )
-from pairnorm.spaces import _BLOCK_ROWS, _euclid_rows
+from pairnorm.jsonio import to_dict
+from pairnorm.spaces import _BLOCK_ROWS, _euclid_rows, as_direction
 
 GRAM = EuclideanGram(3)
 WHITE1 = WhitePolynomial(1, (0.0, 1.0))
@@ -167,7 +171,7 @@ def test_axiom_sweep_white_clean():
 def test_axiom_sweep_is_seeded():
     a = check_axioms(GRAM, 200, seed=42)
     b = check_axioms(GRAM, 200, seed=42)
-    assert a.to_dict() == b.to_dict()
+    assert to_dict(a) == to_dict(b)
 
 
 def test_corrupted_norm_breaks_triangle():
@@ -196,7 +200,7 @@ def test_violation_report_carries_witness():
     report = check_axioms(GRAM, 50, seed=3, norm_fn=negate)
     assert not report.passed
     v = report.violations[0]
-    d = v.to_dict()
+    d = to_dict(v)
     assert set(d) == {"check", "index", "detail"}
     assert d["detail"]  # witnessing tuple recorded
 
@@ -219,7 +223,7 @@ def test_dependent_triple_sweep():
 
 def test_triple_sweep_to_dict_roundtrip():
     report = dependent_triple_check(GRAM, 100, seed=1)
-    d = report.to_dict()
+    d = to_dict(report)
     assert d["passed"] is True
     assert d["branch_plus"] + d["branch_minus"] + d["branch_both"] == 100
 
@@ -301,3 +305,21 @@ def test_seminorm_map_extreme_direction(scale):
     u = np.array([0.0, 0.6, 0.8])
     assert np.all(np.isfinite(M))
     np.testing.assert_allclose(M / (5.0 * scale), np.eye(3) - np.outer(u, u), rtol=1e-12, atol=1e-15)
+
+
+def test_zero_direction_message_everywhere():
+    zero = [0, 0, 0]
+    calls = [
+        lambda: seminorm_b(GRAM, zero, [1, 0, 0]),
+        lambda: seminorm_map(GRAM, zero),
+        lambda: SimultaneousProblem(GRAM, [[1, 0, 0]], [], zero),
+        lambda: distance_to_subspace(GRAM, [1, 0, 0], [], zero),
+        lambda: set_distance(GRAM, [[1, 0, 0]], [], zero),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == "b: direction must be nonzero"
+    with pytest.raises(ValueError, match=r"^y: direction must be nonzero$"):
+        as_direction(WHITE2, zero, "y")
+    assert as_direction(GRAM, [0, 0, -2.0]).tolist() == [0.0, 0.0, -2.0]
