@@ -25,15 +25,16 @@ one engine:
 ``oracle_solve`` is an independent exhaustive grid search (k <= 3) used as
 ground truth in tests.  ``distance_to_subspace`` and ``set_distance``
 specialize the problem to one target and to a set, ``certificate`` builds
-the dual functional witnessing a Euclidean distance, and ``blend_check`` /
-``uniqueness_probe`` exercise convexity of the argmin set and uniqueness of
-minimizers.
+the dual functional witnessing a Euclidean distance, ``blend_check``
+exercises convexity of the argmin set, and ``uniqueness_probe`` reports the
+exact optimal set: one point by strict convexity on ``EuclideanGram``, the
+extreme points of the optimal face on ``WhitePolynomial``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -43,6 +44,7 @@ from .spaces import (
     EuclideanGram,
     SpaceSpec,
     WhitePolynomial,
+    _check_sweep,
     _row_norms,
     _sv_ratio,
     as_direction,
@@ -80,18 +82,18 @@ __all__ = [
 class SolverConfig:
     """Engine knobs; what they mean depends on the space.
 
-    * ``restarts``: starts per solve, the origin plus seeded (``seed``)
-      Gaussian points scaled by twice the largest target coordinate.
-    * ``max_iters``: the cap on the pivots of each restart, active-set
-      pivots on ``EuclideanGram`` and simplex pivots on ``WhitePolynomial``.
-    * ``tol``: a restart converges when its value v and certified lower
+    * ``max_iters``: the cap on the pivots of each solve, active-set pivots
+      on ``EuclideanGram`` and simplex pivots on ``WhitePolynomial``.
+    * ``tol``: a solve converges when its value v and certified lower
       bound L satisfy v - L <= ``tol * (1 + v)``.  On ``EuclideanGram`` v and
       L are the square roots of the primal and dual values of the squared
       objective; on ``WhitePolynomial`` they are the primal and dual values
       of the linear program, and the simplex must also have stopped with no
       negative reduced cost.
-    * ``step0``: read by no engine.  It is kept so that problem files that
-      set it still parse and reports keep their bytes.
+    * ``restarts``, ``seed`` and ``step0``: read by no engine, since each
+      solve runs once from the origin.  They are kept, and still validated,
+      so that problem files that set them still parse and reports keep
+      their ``solver`` block.
     """
 
     max_iters: int = 20000
@@ -248,31 +250,14 @@ class SolveReport:
     value: float
     converged: bool
     per_restart: list[RestartResult]
-    spread: float
 
 
 @dataclass
 class _EngineResult:
-    starts: np.ndarray
-    best_coeffs: np.ndarray
-    best_values: np.ndarray
-    iterations: np.ndarray  # per restart
-    converged: np.ndarray
-    winner: int
-
-
-def _starts(targets: np.ndarray, k: int, cfg: SolverConfig) -> np.ndarray:
-    """Restart points in coefficient space: the origin, then seeded Gaussian
-    points scaled by twice the largest target coordinate.  A trivial subspace
-    (k = 0) has a single point and needs a single restart."""
-    if k == 0:
-        return np.zeros((1, 0))
-    scale = 2.0 * float(np.max(np.abs(targets)))
-    rng = np.random.default_rng(cfg.seed)
-    starts = np.zeros((cfg.restarts, k))
-    if cfg.restarts > 1:
-        starts[1:] = rng.standard_normal((cfg.restarts - 1, k)) * scale
-    return starts
+    coeffs: np.ndarray
+    value: float
+    iterations: int
+    converged: bool
 
 
 def _pow2_peak(A: np.ndarray) -> float:
@@ -281,11 +266,6 @@ def _pow2_peak(A: np.ndarray) -> float:
     without changing the rounding of any normal-range result."""
     peak = float(np.abs(A).max()) if A.size else 0.0
     return math.ldexp(1.0, math.frexp(peak)[1]) if peak > 0.0 else 1.0
-
-
-def _winner(values: np.ndarray, coeffs: np.ndarray) -> int:
-    """Lowest value, ties broken by lexicographically smallest coefficients."""
-    return min(range(values.shape[0]), key=lambda r: (values[r], tuple(coeffs[r])))
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +328,13 @@ def _hull_pivot(
 
 
 def _active_set(
-    q: np.ndarray, w: np.ndarray, x0: np.ndarray, max_pivots: int
+    q: np.ndarray, w: np.ndarray, max_pivots: int
 ) -> tuple[np.ndarray, float, float, int]:
-    """Solve min_x max_i |x - q_i|^2 + w_i from the start ``x0``.
+    """Solve min_x max_i |x - q_i|^2 + w_i.
 
     Dual: maximize D(lam) = sum_i lam_i (|q_i|^2 + w_i) - |sum_i lam_i q_i|^2
     over the simplex, with the primal point x = sum_i lam_i q_i.  The support
-    starts at the target farthest from ``x0``; each pivot adds the most
+    starts at the target farthest from the origin; each pivot adds the most
     violated target, or drops a weight the hull solve drives to zero, or
     steps along a null direction of an affinely dependent support.  The loop
     ends when no target lies outside the ball of the support, when D stops
@@ -363,7 +343,7 @@ def _active_set(
     Returns x, the primal value P = max_i |x - q_i|^2 + w_i, the certified
     dual value D(lam) <= P at the final weights, and the pivot count.
     """
-    support = [int(np.argmax(_power(q, w, x0)))]
+    support = [int(np.argmax(_power(q, w, np.zeros(q.shape[1]))))]
     lam = np.ones(1)
     settled = True  # lam maximizes D over the affine hull of the support
     last_dual = -np.inf
@@ -413,31 +393,15 @@ def _enclosing_ball(
         q = Y @ Q
         resid = Y - q @ Q.T
     else:
-        R = np.zeros((0, 0))
         q = np.zeros((Y.shape[0], 0))
         resid = Y
     w = np.einsum("ij,ij->i", resid, resid)
 
-    starts = _starts(targets, k, cfg)
-    n = starts.shape[0]
-    X = np.empty((n, k))
-    values = np.empty(n)
-    iterations = np.empty(n, dtype=int)
-    converged = np.empty(n, dtype=bool)
-    for r, x0 in enumerate(starts @ R.T / scale):
-        X[r], primal, dual, iterations[r] = _active_set(q, w, x0, cfg.max_iters)
-        values[r] = np.sqrt(primal) * scale
-        gap = values[r] - np.sqrt(dual) * scale
-        converged[r] = gap <= cfg.tol * (1.0 + values[r])
-    coeffs = (np.linalg.solve(R, X.T).T if k else X) * scale
-    return _EngineResult(
-        starts=starts,
-        best_coeffs=coeffs,
-        best_values=values,
-        iterations=iterations,
-        converged=converged,
-        winner=_winner(values, coeffs),
-    )
+    x, primal, dual, pivots = _active_set(q, w, cfg.max_iters)
+    value = float(np.sqrt(primal) * scale)
+    gap = value - np.sqrt(dual) * scale
+    coeffs = (np.linalg.solve(R, x) if k else x) * scale
+    return _EngineResult(coeffs, value, pivots, bool(gap <= cfg.tol * (1.0 + value)))
 
 
 # ---------------------------------------------------------------------------
@@ -512,36 +476,41 @@ def _start_tableau(
 
 
 def _simplex(
-    tab: np.ndarray, basis: np.ndarray, t: int, max_pivots: int
+    tab: np.ndarray,
+    basis: np.ndarray,
+    cost: np.ndarray,
+    max_pivots: int,
+    allowed: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, int, bool]:
-    """Primal simplex for min x_t subject to A x = rhs, x >= 0, from the
+    """Primal simplex for min cost . x subject to A x = rhs, x >= 0, from the
     tableau ``tab`` = B^-1 [A | rhs] of a feasible ``basis`` (one column
-    index per row).
+    index per row, updated in place), entering only the columns that the
+    mask ``allowed`` marks (every column when it is None).
 
     Each pivot enters the column of most negative reduced cost; when that
     step would be degenerate it enters the lowest-index candidate instead,
     and ties in the ratio test leave by the lowest basic index, so degenerate
-    vertices cannot cycle (Bland's rule).  Returns the final basis, the
-    pivot count, and whether no reduced cost is negative.
+    vertices cannot cycle (Bland's rule).  Returns the final tableau, whose
+    last row holds the reduced costs and -cost . x, the pivot count, and
+    whether no allowed reduced cost is negative.
     """
-    # objective row: reduced costs e_t - c_B^T B^-1 A, then -x_t
-    cost = -tab[int(np.argmax(basis == t))]
-    cost[t] += 1.0
-    tab = np.vstack([tab, cost])
+    # objective row: reduced costs c - c_B^T B^-1 A, then -c_B^T x_B
+    tab = np.vstack([tab, np.append(cost, 0.0) - cost[basis] @ tab])
     reduced = tab[-1, :-1]
     pivots = 0
     while True:
-        q = int(reduced.argmin())
-        if reduced[q] >= -_LP_EPS:
-            return basis, pivots, True
+        cand = reduced if allowed is None else np.where(allowed, reduced, 0.0)
+        q = int(cand.argmin())
+        if cand[q] >= -_LP_EPS:
+            return tab, pivots, True
         if pivots == max_pivots:
-            return basis, pivots, False
+            return tab, pivots, False
         r = _pivot_row(tab, q, basis)
         if r < 0 or tab[r, -1] <= _LP_EPS * tab[r, q]:
-            q = int(np.argmax(reduced < -_LP_EPS))
+            q = int(np.argmax(cand < -_LP_EPS))
             r = _pivot_row(tab, q, basis)
             if r < 0:  # an unbounded ray: only rounding can produce one
-                return basis, pivots, False
+                return tab, pivots, False
         pivots += 1
         row = tab[r] / tab[r, q]
         tab -= tab[:, q, None] * row
@@ -555,17 +524,25 @@ def _linear_program(
     basis: np.ndarray,
     b: np.ndarray,
     cfg: SolverConfig,
-) -> _EngineResult:
+    face: bool = False,
+) -> list[_EngineResult]:
     """Exact engine for ``WhitePolynomial``: with Y = targets M^T and BM =
     basis M^T, minimize t subject to |Y_i - c BM|_1 <= t for every target.
 
-    Each restart writes c = c0 + delta+ - delta- around its start c0 and
-    starts the simplex at delta = 0 from a feasible basis, so no phase 1 is
-    needed: P_ij or N_ij by the sign of the shifted residual, t on the row of
-    the worst target, S_i on every other target row.  The multipliers
-    pi = B^-T c_B of the final basis split into u on the residual rows and
-    -lam on the target rows; D = sum_i u_i . y_i is the dual value, a lower
-    bound on the optimum whenever the reduced costs are nonnegative.
+    It writes c = delta+ - delta- and starts the simplex at c = 0 from a
+    feasible basis, so no phase 1 is needed: P_ij or N_ij by the sign of
+    Y_ij, t on the row of the worst target, S_i on every other target row.
+    The multipliers pi = B^-T c_B of the final basis split into u on the
+    residual rows and -lam on the target rows; D = sum_i u_i . y_i is the
+    dual value, a lower bound on the optimum whenever the reduced costs are
+    nonnegative.
+
+    Returns the optimum, then with ``face`` the optimal face's extreme points
+    along each axis: c_0 at its minimum and maximum, then c_1, and so on.
+    Each is a second simplex stage from the optimal tableau that minimizes
+    +-c_j entering only columns whose reduced cost for t is zero.  Such
+    pivots leave those reduced costs unchanged, so t stays optimal and the
+    stage optimizes c_j over exactly the optimal face.
     """
     M = seminorm_map(space, b)
     Y = targets @ M.T
@@ -577,40 +554,39 @@ def _linear_program(
     col_scale = np.abs(BM).max(axis=1) if k else np.ones(0)
     A = _lp_matrix(BM / col_scale[:, None], m)
     t = 2 * k
-    rows = np.arange(mp)
+    y_scale = _pow2_peak(Y)
+    rhs = np.concatenate([Y.ravel() / y_scale, np.zeros(m)])
+    neg = rhs[:mp] < 0.0
+    worst = int(np.argmax(np.abs(Y).sum(axis=1)))
+    basic = np.concatenate([t + 1 + np.arange(mp) + mp * neg, t + 1 + 2 * mp + np.arange(m)])
+    basic[mp + worst] = t
+    tab = _start_tableau(A, rhs, np.where(neg, -1.0, 1.0), worst)
+    cost = np.zeros(A.shape[1])
+    cost[t] = 1.0
+    tab, pivots, optimal = _simplex(tab, basic, cost, cfg.max_iters)
 
-    starts = _starts(targets, k, cfg)
-    n = starts.shape[0]
-    coeffs = np.empty((n, k))
-    values = np.empty(n)
-    iterations = np.empty(n, dtype=int)
-    converged = np.empty(n, dtype=bool)
-    for r, c0 in enumerate(starts):
-        shifted = Y - c0 @ BM
-        y_scale = _pow2_peak(shifted)
-        rhs = np.concatenate([shifted.ravel() / y_scale, np.zeros(m)])
-        neg = rhs[:mp] < 0.0
-        worst = int(np.argmax(np.abs(shifted).sum(axis=1)))
-        start = np.concatenate([t + 1 + rows + mp * neg, t + 1 + 2 * mp + np.arange(m)])
-        start[mp + worst] = t
-        tab = _start_tableau(A, rhs, np.where(neg, -1.0, 1.0), worst)
-        final, iterations[r], optimal = _simplex(tab, start, t, cfg.max_iters)
-        AB = A[:, final]
+    def solution(cols: np.ndarray, iterations: int, converged: bool) -> _EngineResult:
         x = np.zeros(A.shape[1])
-        x[final] = np.linalg.solve(AB, rhs)
-        coeffs[r] = c0 + (x[:k] - x[k:t]) * y_scale / col_scale
-        values[r] = float(np.abs(Y - coeffs[r] @ BM).sum(axis=1).max())
-        pi = np.linalg.solve(AB.T, (final == t).astype(float))
-        dual = float(pi[:mp] @ Y.ravel())
-        converged[r] = optimal and values[r] - dual <= cfg.tol * (1.0 + values[r])
-    return _EngineResult(
-        starts=starts,
-        best_coeffs=coeffs,
-        best_values=values,
-        iterations=iterations,
-        converged=converged,
-        winner=_winner(values, coeffs),
-    )
+        x[cols] = np.linalg.solve(A[:, cols], rhs)
+        coeffs = (x[:k] - x[k:t]) * y_scale / col_scale
+        value = float(np.abs(Y - coeffs @ BM).sum(axis=1).max())
+        return _EngineResult(coeffs, value, iterations, converged)
+
+    best = solution(basic, pivots, optimal)
+    pi = np.linalg.solve(A[:, basic].T, cost[basic])
+    dual = float(pi[:mp] @ Y.ravel())
+    best.converged = optimal and best.value - dual <= cfg.tol * (1.0 + best.value)
+    out = [best]
+    if face:
+        zero = np.abs(tab[-1, :-1]) <= _LP_EPS  # columns that keep t optimal
+        for j in range(k):
+            for sign in (1.0, -1.0):
+                cost = np.zeros(A.shape[1])
+                cost[j], cost[k + j] = sign, -sign
+                stage = basic.copy()
+                _, pivots, optimal = _simplex(tab[:-1], stage, cost, cfg.max_iters, zero)
+                out.append(solution(stage, pivots, optimal))
+    return out
 
 
 def objective(problem: SimultaneousProblem, g) -> float:
@@ -620,22 +596,6 @@ def objective(problem: SimultaneousProblem, g) -> float:
     return float(
         two_norm_rows(problem.space, problem.targets - gv, problem.b[None, :]).max()
     )
-
-
-def _pair_distances(
-    space: SpaceSpec, elements: np.ndarray, b: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Seminorm distances p_b(e_i - e_j) over all pairs i < j, in one batch."""
-    i, j = np.triu_indices(elements.shape[0], 1)
-    diffs = elements[i] - elements[j]
-    return i, j, two_norm_rows(space, diffs, np.tile(b, (diffs.shape[0], 1)))
-
-
-def _elements(problem: SimultaneousProblem, coeffs: np.ndarray) -> np.ndarray:
-    """Subspace elements for rows of coefficients."""
-    if problem.g_basis.k:
-        return coeffs @ problem.g_basis.matrix
-    return np.zeros((coeffs.shape[0], element_dim(problem.space)))
 
 
 def _require_solvable(problem: SimultaneousProblem) -> None:
@@ -652,53 +612,36 @@ def _engine(
     b: np.ndarray,
     cfg: SolverConfig,
 ) -> _EngineResult:
-    """The exact solve engine of the space: enclosing ball for l2, simplex
-    for l1."""
+    """One run of the exact solve engine of the space from c = 0: enclosing
+    ball for l2, simplex for l1."""
     if isinstance(space, EuclideanGram):
         return _enclosing_ball(space, targets, basis, b, cfg)
-    return _linear_program(space, targets, basis, b, cfg)
+    return _linear_program(space, targets, basis, b, cfg)[0]
 
 
 def solve(problem: SimultaneousProblem) -> SolveReport:
     """Minimize the worst residual seminorm over the spanned subspace.
 
-    Deterministic for a fixed problem and seed.  Restarts launch from the
-    origin plus seeded Gaussian points scaled by twice the largest target
-    coordinate; the winner is the lowest value with lexicographic coefficient
-    tie-breaking.  Each restart runs the exact engine of the space, the
+    Deterministic for a fixed problem.  The exact engine of the space, the
     active-set method on ``EuclideanGram`` and the simplex method on
-    ``WhitePolynomial``: ``iterations`` counts its pivots (at most
+    ``WhitePolynomial``, runs once from the origin, and ``per_restart``
+    holds that one run: ``iterations`` counts its pivots (at most
     ``max_iters``), and it converges when its certified duality gap is at
-    most ``tol`` times one plus its value; see :class:`SolverConfig`.  On a flat optimal
-    face of a ``WhitePolynomial`` problem, restarts may end at distinct
-    optimal vertices.
+    most ``tol`` times one plus its value; see :class:`SolverConfig`.  On a
+    flat optimal face of a ``WhitePolynomial`` problem the solve returns one
+    optimal vertex; :func:`uniqueness_probe` reports the whole face.
     """
     _require_solvable(problem)
     res = _engine(
         problem.space, problem.targets, problem.g_basis.matrix, problem.b, problem.solver
     )
-    return _report_from(problem, res)
-
-
-def _report_from(problem: SimultaneousProblem, res: _EngineResult) -> SolveReport:
-    elements = _elements(problem, res.best_coeffs)
-    g_star = elements[res.winner]
-    per_restart = [
-        RestartResult(
-            start=[float(v) for v in res.starts[r]],
-            value=float(res.best_values[r]),
-            iterations=int(res.iterations[r]),
-            converged=bool(res.converged[r]),
-        )
-        for r in range(res.starts.shape[0])
-    ]
-    _, _, dists = _pair_distances(problem.space, elements, problem.b)
+    g_star = problem.g_basis.combine(res.coeffs)
+    run = RestartResult([0.0] * problem.g_basis.k, res.value, res.iterations, res.converged)
     return SolveReport(
         g_star=g_star,
         value=objective(problem, g_star),
-        converged=bool(res.converged[res.winner]),
-        per_restart=per_restart,
-        spread=float(dists.max()) if dists.size else 0.0,
+        converged=res.converged,
+        per_restart=[run],
     )
 
 
@@ -785,8 +728,8 @@ def _distance(
     w_basis, bv = _subspace_parts(space, w_basis, b)
     solver = cfg if cfg is not None else SolverConfig()
     res = _engine(space, x0v[None, :], w_basis.matrix, bv, solver)
-    w_star = w_basis.combine(res.best_coeffs[res.winner])
-    return two_norm(space, x0v - w_star, bv), w_star, bool(res.converged[res.winner])
+    w_star = w_basis.combine(res.coeffs)
+    return two_norm(space, x0v - w_star, bv), w_star, res.converged
 
 
 def distance_to_subspace(
@@ -814,7 +757,7 @@ def set_distance(
     w_basis, bv = _subspace_parts(space, w_basis, b)
     solver = cfg if cfg is not None else SolverConfig()
     res = _engine(space, targets, w_basis.matrix, bv, solver)
-    w = w_basis.combine(res.best_coeffs[res.winner])
+    w = w_basis.combine(res.coeffs)
     return float(two_norm_rows(space, targets - w, bv[None, :]).max())
 
 
@@ -889,6 +832,7 @@ def certificate_soundness(
     """
     if not isinstance(space, EuclideanGram):
         raise ValueError("certificates are only constructed for EuclideanGram spaces")
+    _check_sweep(samples)
     x0v = as_element(space, x0, "x0")
     bv = as_element(space, b, "b")
     if not isinstance(w_basis, SubspaceBasis):
@@ -1002,37 +946,35 @@ class UniquenessReport:
 def uniqueness_probe(
     problem: SimultaneousProblem, restarts: int = 16, cluster_tol: float = 1e-5
 ) -> UniquenessReport:
-    """Cluster restart optimizers by seminorm distance.
+    """The exact optimal set; ``restarts`` is validated and echoed only.
 
-    On ``EuclideanGram`` the objective's strict convexity (the parallelogram
-    law in the second slot) forces a unique minimizer, so a healthy run
-    reports one cluster.  On ``WhitePolynomial`` flat optimal faces are
-    possible and more clusters are informational, not an error.
+    On ``EuclideanGram`` the squared objective is strictly convex in x = R c
+    (the parallelogram law in the second slot), and R is nonsingular since
+    the basis is independent and b lies outside its span.  So one solve
+    gives the unique minimizer: one optimizer, spread 0, its value.
+
+    On ``WhitePolynomial`` flat optimal faces are possible.  ``values`` holds
+    the optimum, then the face's 2k extreme points along the coefficient
+    axes (see :func:`_linear_program`).  ``distinct_optimizers`` counts the
+    points at least ``cluster_tol`` under p_b from every point before them,
+    and ``spread`` is their largest pairwise p_b distance.
     """
     if restarts < 2:
         raise ValueError(f"restarts must be >= 2, got {restarts}")
     _require_solvable(problem)
-    cfg = replace(problem.solver, restarts=restarts)
-    res = _engine(problem.space, problem.targets, problem.g_basis.matrix, problem.b, cfg)
-    elements = _elements(problem, res.best_coeffs)
-    i, j, dists = _pair_distances(problem.space, elements, problem.b)
-
-    parent = list(range(elements.shape[0]))
-
-    def find(a: int) -> int:
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    for a, c in zip(i[dists < cluster_tol], j[dists < cluster_tol]):
-        ra, rc = find(int(a)), find(int(c))
-        if ra != rc:
-            parent[ra] = rc
-    clusters = len({find(a) for a in range(elements.shape[0])})
+    parts = (problem.space, problem.targets, problem.g_basis.matrix, problem.b, problem.solver)
+    if isinstance(problem.space, EuclideanGram):
+        value = _enclosing_ball(*parts).value
+        return UniquenessReport(1, 0.0, restarts, [value])
+    points = _linear_program(*parts, face=True)
+    elements = np.array([r.coeffs for r in points]) @ problem.g_basis.matrix
+    i, j = np.triu_indices(len(points), 1)
+    dists = two_norm_rows(problem.space, elements[i] - elements[j], problem.b[None, :])
+    near = np.zeros((len(points),) * 2, dtype=bool)
+    near[i, j] = dists < cluster_tol
     return UniquenessReport(
-        distinct_optimizers=clusters,
+        distinct_optimizers=int(np.sum(~near.any(axis=0))),
         spread=float(dists.max()) if dists.size else 0.0,
         restarts=restarts,
-        values=[float(v) for v in res.best_values],
+        values=[r.value for r in points],
     )

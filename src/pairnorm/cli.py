@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
     p.add_argument("file", help="problem JSON with a blend section (g1, g2, lambdas)")
     p.add_argument("--tol", type=float, default=1e-9)
 
-    p = sub.add_parser("uniqueness", help="cluster restart optimizers")
+    p = sub.add_parser("uniqueness", help="exact optimal set: one point or a flat face")
     p.add_argument("file", help="problem JSON")
     p.add_argument("--restarts", type=int, default=16)
     p.add_argument("--seed", type=int)

@@ -285,7 +285,7 @@ def two_norm_rows(space: SpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     if isinstance(space, EuclideanGram):
-        n = max(X.shape[0], Y.shape[0])
+        n = np.broadcast_shapes(X.shape[:1], Y.shape[:1])[0]
         out = np.empty(n)
         for lo in range(0, n, _BLOCK_ROWS):
             blk = slice(lo, lo + _BLOCK_ROWS)
@@ -372,6 +372,15 @@ class AxiomReport:
         return not self.violations
 
 
+def _check_sweep(samples: int, tol: Optional[float] = None) -> None:
+    """Reject a sweep that would test nothing: ``samples`` must be a positive
+    integer and ``tol``, when given, positive."""
+    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
+        raise ValueError(f"samples must be a positive integer, got {samples!r}")
+    if tol is not None and not (tol > 0.0):
+        raise ValueError(f"tol must be positive, got {tol!r}")
+
+
 def _record(
     report: AxiomReport,
     check: str,
@@ -405,11 +414,7 @@ def check_axioms(
     signature as ``two_norm_rows(space, X, Y)``, used to confirm that a
     corrupted norm is actually caught.
     """
-    if isinstance(samples, bool) or not isinstance(samples, int) or samples < 1:
-        raise ValueError(f"samples must be a positive integer, got {samples!r}")
-    if not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
-
+    _check_sweep(samples, tol)
     rng = np.random.default_rng(seed)
     d = element_dim(space)
     X = rng.uniform(-1.0, 1.0, (samples, d))
@@ -507,6 +512,7 @@ def shift_identity_check(
     space: SpaceSpec, samples: int, seed: int = 0, tol: float = 1e-9
 ) -> IdentityReport:
     """Check ||x, y + alpha*x|| == ||x, y|| on constructed triples (x, y, alpha)."""
+    _check_sweep(samples, tol)
     rng = np.random.default_rng(seed)
     d = element_dim(space)
     X = rng.uniform(-1.0, 1.0, (samples, d))
@@ -557,6 +563,7 @@ def dependent_triple_check(
     must hold (the first when c and d share a sign, the second when they
     oppose).  The report records which branch held per sample.
     """
+    _check_sweep(samples, tol)
     rng = np.random.default_rng(seed)
     d = element_dim(space)
     X = rng.uniform(-1.0, 1.0, (samples, d))

@@ -26,6 +26,7 @@ from pairnorm import (
     two_norm_rows,
     uniqueness_probe,
 )
+from pairnorm.approx import _linear_program
 from pairnorm.jsonio import to_dict
 
 GRAM = EuclideanGram(3)
@@ -166,8 +167,8 @@ def test_solve_report_invariants():
     assert rep.value == pytest.approx(objective(prob, rep.g_star), abs=1e-9)
     for r in rep.per_restart:
         assert rep.value <= r.value + prob.solver.tol
-    assert len(rep.per_restart) == prob.solver.restarts
-    assert rep.spread >= 0.0
+    assert len(rep.per_restart) == 1
+    assert rep.per_restart[0].start == [0.0, 0.0]
 
 
 def test_solve_deterministic():
@@ -370,6 +371,14 @@ def test_certificate_rejects_point_in_subspace():
         certificate(GRAM, [2, 0, 0], SubspaceBasis(GRAM, [E1]), E3)
 
 
+def test_certificate_soundness_rejects_no_samples():
+    basis = SubspaceBasis(GRAM, [E1])
+    cert = certificate(GRAM, [1, 1, 0], basis, E3)
+    for samples in (0, -5):
+        with pytest.raises(ValueError, match="samples must be a positive integer"):
+            certificate_soundness(GRAM, cert, [1, 1, 0], basis, E3, samples=samples)
+
+
 def test_certificate_gram_only():
     with pytest.raises(ValueError, match="EuclideanGram"):
         certificate(WHITE, [0, 1], SubspaceBasis(WHITE, [[1, 0]]), [1, 1])
@@ -401,7 +410,16 @@ def test_uniqueness_white_informational():
     )
     rep = uniqueness_probe(prob, restarts=8)
     assert rep.distinct_optimizers >= 1
-    assert len(rep.values) == 8
+    assert len(rep.values) == 3
+
+
+def test_uniqueness_l2_is_one_exact_solve():
+    # strict convexity: the one solve is the unique minimizer
+    for seed in range(4):
+        prob = random_gram_problem(8, 3, 4, seed)
+        rep = uniqueness_probe(prob, restarts=16)
+        assert (rep.distinct_optimizers, rep.spread, rep.restarts) == (1, 0.0, 16)
+        assert rep.values == [solve(prob).per_restart[0].value]
 
 
 def test_uniqueness_requires_two_restarts():
@@ -819,13 +837,84 @@ def test_converged_white_restarts_meet_certified_gap():
 def test_white_uniqueness_finds_flat_face():
     # with b = 1 the seminorm is sum_k |u'(t_k)|, so the objective at g = c g1
     # is |c - 1| + |c - 1.5| + |c - 2| + |c - 2.5|: flat at 2 on [1.5, 2];
-    # restarts from either side end at the two vertices, 2 apart
+    # the face's two vertices, c = 1.5 and c = 2, are 2 apart
     space = WhitePolynomial(2, (0.0, 0.25, 0.5, 0.75))
     prob = SimultaneousProblem(space, [[-1, -1, -1]], [[-1, -1, 0]], [1, 0, 0])
     rep = uniqueness_probe(prob, restarts=8)
     assert rep.distinct_optimizers == 2
     assert rep.spread == pytest.approx(2.0, rel=1e-12)
     assert all(v == pytest.approx(2.0, rel=1e-12) for v in rep.values)
+
+
+def test_white_uniqueness_face_missed_by_sampling():
+    # an optimal segment of p_b-length 22.526218 (both ends optimal by HiGHS)
+    # that 16 restarts all missed, reporting one optimizer
+    prob = random_white_problem(4, 2, 2, 3)
+    rep = uniqueness_probe(prob, restarts=16)
+    assert rep.distinct_optimizers == 2
+    assert rep.spread == pytest.approx(22.526218, rel=1e-6)
+    value = solve(prob).value
+    assert all(v == pytest.approx(value, rel=1e-12) for v in rep.values)
+
+
+def lp_face(prob):
+    """Min and max of each coefficient c_j over the optimal set, by HiGHS:
+    the LP of :func:`lp_optimum` with its level capped at v*.
+
+    v* is the objective at HiGHS's optimal point, so it is not below the
+    optimum.  No slack is added: a cap of v* (1 + eps) widens the set along
+    a shallow direction by about eps v* / slope, which reached 8e-8 relative
+    at eps = 1e-10 on these problems and would hide the engine's error."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    cap = lp_optimum(prob)
+    W = white_map(prob.space, prob.b)
+    F = prob.targets @ W.T
+    G = prob.g_basis.matrix @ W.T
+    (m, n), k = F.shape, G.shape[0]
+    nv = k + m * n
+    rows, rhs = [], []
+    for i in range(m):
+        for j in range(n):
+            s = np.zeros(nv)
+            s[k + i * n + j] = -1.0
+            for sign in (1.0, -1.0):
+                row = s.copy()
+                row[:k] = -sign * G[:, j]
+                rows.append(row)
+                rhs.append(-sign * F[i, j])
+        level = np.zeros(nv)
+        level[k + i * n : k + (i + 1) * n] = 1.0
+        rows.append(level)
+        rhs.append(cap)
+    bounds = [(None, None)] * k + [(0.0, None)] * (m * n)
+    out = []
+    for j in range(k):
+        for sign in (1.0, -1.0):
+            cost = np.zeros(nv)
+            cost[j] = sign
+            res = linprog(
+                cost, A_ub=np.array(rows), b_ub=np.array(rhs), bounds=bounds, method="highs"
+            )
+            assert res.status == 0, res.message
+            out.append(res.x[j])
+    return np.array(out)
+
+
+@pytest.mark.parametrize(
+    "degree,k,m,seeds", [(4, 2, 2, range(6)), (5, 2, 3, range(7)), (6, 3, 1, range(3))]
+)
+def test_white_face_extremes_match_lp(degree, k, m, seeds):
+    # the second simplex stage reaches the extreme points of the optimal face
+    # along every axis: flat faces (4, 2, 2) seeds 1 and 3, (5, 2, 3) seeds 1,
+    # 4, 5 and 6, and unique optima alike
+    for seed in seeds:
+        prob = random_white_problem(degree, k, m, seed)
+        expected = lp_face(prob)
+        points = _linear_program(
+            prob.space, prob.targets, prob.g_basis.matrix, prob.b, prob.solver, face=True
+        )
+        got = np.array([points[1 + 2 * j + r].coeffs[j] for j in range(k) for r in (0, 1)])
+        assert np.all(np.abs(got - expected) <= 1e-9 * np.maximum(1.0, np.abs(expected)))
 
 
 # ---------------------------------------------------------------- extreme scales

@@ -93,7 +93,7 @@ def test_solve_symmetric_example(tmp_path, capsys):
     assert abs(out["value"] - 1.0) <= 1e-6
     assert max(abs(c) for c in out["g_star"]) <= 1e-5
     assert out["converged"] is True
-    assert len(out["per_restart"]) == 4
+    assert len(out["per_restart"]) == 1
     assert out["solver"]["seed"] == 0
 
 
@@ -107,7 +107,7 @@ def test_solve_flag_overrides(tmp_path, capsys):
     path = write(tmp_path, "problem.json", SYMMETRIC_PROBLEM)
     code, out, _ = run_cli(capsys, "solve", path, "--restarts", "2", "--seed", "11")
     assert code == 0
-    assert len(out["per_restart"]) == 2
+    assert len(out["per_restart"]) == 1
     assert out["solver"]["seed"] == 11
     assert out["solver"]["restarts"] == 2
 
@@ -189,6 +189,14 @@ def test_certificate_rejects_zero_distance(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "certificate", path)
     assert code == 1
     assert "error" in out
+
+
+def test_certificate_rejects_no_samples(tmp_path, capsys):
+    path = write(tmp_path, "problem.json", POINT_PROBLEM)
+    for samples in ("0", "-3"):
+        code, out, _ = run_cli(capsys, "certificate", path, "--samples", samples)
+        assert code == 1
+        assert out == {"error": {"message": f"samples must be a positive integer, got {samples}"}}
 
 
 def test_blend_subcommand(tmp_path, capsys):
@@ -356,8 +364,8 @@ def test_solve_many_basis_vectors(tmp_path, capsys):
 # (numpy 2.4.6 with OpenBLAS, x86-64).  The sweeps run past one kernel block
 # and print every violation's values; the sequences evaluate 7140 Cauchy pairs.
 # The problem reports (solve, the grid oracle, distance, certificate,
-# uniqueness, blend) were recorded from the per-class serializers that
-# ``jsonio.to_dict`` replaced; ``certificate`` on White is the error payload.
+# uniqueness) come from one engine run from the origin; blend runs no engine,
+# and ``certificate`` on White is the error payload.
 
 WHITE3 = {"kind": "white_polynomial", "degree": 3, "points": [0, 0.125, 0.25, 0.5, 0.75, 1]}
 
@@ -425,48 +433,48 @@ GOLDEN = {
         "d795967f50a520d92139b677de51bf38c63053255e0c7fd3780035fb7d45ae0b",
     ),
     "solve-euclid": (
-        "solve", [], golden_problem(EUCLID6, 6, 3, 2), 0, 1538,
-        "a1821b846b4bd6a9389685b0ef65da8897e0cae80285dceefda48265dd700a9d",
+        "solve", [], golden_problem(EUCLID6, 6, 3, 2), 0, 462,
+        "417ab01ade0d3292c40b85bbf92e9393a6499401ccdbc67fad8e0f40275f47ea",
     ),
     "solve-oracle-euclid": (
-        "solve", ORACLE_FLAGS, golden_problem(EUCLID6, 6, 3, 2), 0, 1773,
-        "32783a4487415d1cf54cd2632452600fbc6aa7c6273592720cb4139a26b40eb4",
+        "solve", ORACLE_FLAGS, golden_problem(EUCLID6, 6, 3, 2), 0, 697,
+        "818db0fe31751e01d5c96fdb145e0a5116896286b42d2ab3c1e2639b981d2360",
     ),
     "distance-euclid": (
         "distance", [], golden_problem(EUCLID6, 6, 1, 2), 0, 179,
-        "ed9a9abac451a989c7d7e00b9a1545da70ee87321abbc06f1ff21fd3ffd1609c",
+        "ae6e070a05ec6664f8bcf2c7af44b8c21ca6a394e85fb7fa0b79586b907a6e87",
     ),
     "certificate-euclid": (
-        "certificate", [], golden_problem(EUCLID6, 6, 1, 2), 0, 452,
-        "4f344563086e28a9d73f83292dfbf060fc93dcb566150ec18f95a7c64ba181ca",
+        "certificate", [], golden_problem(EUCLID6, 6, 1, 2), 0, 470,
+        "e710e6f4beff3857b43dfb476f80487cca82887a3a4270c352c7efc70ff26a06",
     ),
     "uniqueness-euclid": (
-        "uniqueness", [], golden_problem(EUCLID6, 6, 3, 2), 0, 387,
-        "2f0c93590fafa379fe0a2d4e5dbfc8f238788090121bec64fae202ec2a181707",
+        "uniqueness", [], golden_problem(EUCLID6, 6, 3, 2), 0, 96,
+        "51412fd0ddfdd46101869bd1806e5151b9bfd76ad190a19b4072427fc4d27997",
     ),
     "blend-euclid": (
         "blend", [], golden_problem(EUCLID6, 6, 3, 2), 0, 1097,
         "a3c19e92e4662ec5bff9ee574e41382f01023a8d397f7c6fbf39da61476f1c49",
     ),
     "solve-white": (
-        "solve", [], golden_problem(WHITE5, 6, 3, 2), 0, 1556,
-        "b809b6be0bf84cf66c055144fca892e96c9885cd96ab25be86e9e5770b215404",
+        "solve", [], golden_problem(WHITE5, 6, 3, 2), 0, 460,
+        "38a55fbe4b100f68495139a9aad3ba849f18b9c216683e303d35a546cfb0890c",
     ),
     "solve-oracle-white": (
-        "solve", ORACLE_FLAGS, golden_problem(WHITE5, 6, 3, 2), 0, 1773,
-        "0472bdb0fb3d960fd0048f130a4bbc4f9245ae5ed5f517587cc3386396657fcd",
+        "solve", ORACLE_FLAGS, golden_problem(WHITE5, 6, 3, 2), 0, 677,
+        "8153703a704165c9c4ddc898a50dad01bfc123e6a6bbc4512b8e9bf684dee777",
     ),
     "distance-white": (
         "distance", [], golden_problem(WHITE5, 6, 1, 2), 0, 174,
-        "278fbb645d575e263ba203e79656f299491680279acd8e11778b903db21fa7a7",
+        "10dfabab1e09ea09e915f571f974f941b19e56032e40643861b478d2cec1adb6",
     ),
     "certificate-white": (
         "certificate", [], golden_problem(WHITE5, 6, 1, 2), 1, 97,
         "9ae2d94585ee441e6ddc408a56569439ffe3377b3efbe081ad8108ccf739b0f2",
     ),
     "uniqueness-white": (
-        "uniqueness", [], golden_problem(WHITE5, 6, 3, 2), 0, 419,
-        "7ca31edffe0e5cec965bd68ee0942d88b299256493ef07ec0197a257ccb2ab41",
+        "uniqueness", [], golden_problem(WHITE5, 6, 3, 2), 0, 178,
+        "133d2b879067ee65ddebd4ecbcfad78983d22a18777c2bdabd8ef7c927cb7971",
     ),
     "blend-white": (
         "blend", [], golden_problem(WHITE5, 6, 3, 2), 0, 1097,

@@ -104,6 +104,15 @@ def test_batch_rows_shape():
     assert np.allclose(out, 1.0)
 
 
+@pytest.mark.parametrize("space", [GRAM, WHITE2])
+@pytest.mark.parametrize("nx, ny", [(0, 1), (1, 0), (0, 0)])
+def test_batch_rows_empty(space, nx, ny):
+    # an empty batch paired with a 1-row operand is empty, not an error
+    d = element_dim(space)
+    out = two_norm_rows(space, np.zeros((nx, d)), np.ones((ny, d)))
+    assert out.shape == (0,)
+
+
 def test_symmetry_is_exact():
     rng = np.random.default_rng(11)
     for space in (GRAM, WHITE2):
@@ -219,6 +228,32 @@ def test_dependent_triple_sweep():
         # both branches of the disjunction must actually occur
         assert report.branch_plus > 0
         assert report.branch_minus > 0
+
+
+SWEEPS = [check_axioms, shift_identity_check, dependent_triple_check]
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+@pytest.mark.parametrize(
+    "samples, tol, message",
+    [
+        (0, 1e-9, "samples must be a positive integer, got 0"),
+        (-4, 1e-9, "samples must be a positive integer, got -4"),
+        (2.0, 1e-9, "samples must be a positive integer, got 2.0"),
+        (10, 0.0, "tol must be positive, got 0.0"),
+        (10, -1e-9, "tol must be positive, got -1e-09"),
+    ],
+)
+def test_sweeps_reject_vacuous_arguments(sweep, samples, tol, message):
+    # a sweep over no samples, or with a negative tolerance, would pass
+    # without testing anything
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sweep(GRAM, samples, seed=0, tol=tol)
+
+
+@pytest.mark.parametrize("sweep", SWEEPS)
+def test_sweeps_take_numpy_integer_samples(sweep):
+    assert sweep(GRAM, np.int64(20), seed=0).passed
 
 
 def test_triple_sweep_to_dict_roundtrip():
