@@ -22,13 +22,14 @@ one engine:
   solves it from a feasible start basis, and the multipliers of its final
   basis give the dual value that certifies the gap.
 
-``oracle_solve`` is an independent exhaustive grid search (k <= 3) used as
-ground truth in tests.  ``distance_to_subspace`` and ``set_distance``
-specialize the problem to one target and to a set, ``certificate`` builds
-the dual functional witnessing a Euclidean distance, ``blend_check``
-exercises convexity of the argmin set, and ``uniqueness_probe`` reports the
-exact optimal set: one point by strict convexity on ``EuclideanGram``, the
-extreme points of the optimal face on ``WhitePolynomial``.
+``oracle_solve`` is an independent grid search (k <= 3), exact over its
+lattice, used as ground truth in tests.  ``distance_to_subspace`` and
+``set_distance`` specialize the problem to one target and to a set,
+``certificate`` builds the dual functional witnessing a Euclidean distance,
+``blend_check`` exercises convexity of the argmin set, and
+``uniqueness_probe`` reports the exact optimal set: one point by strict
+convexity on ``EuclideanGram``, the extreme points of the optimal face on
+``WhitePolynomial``.
 """
 
 from __future__ import annotations
@@ -210,8 +211,10 @@ class _Objective:
     """Batch evaluator for max_i p_b(f_i - g) with g = coeffs @ basis.
 
     Residuals are pushed through the seminorm's linear-map form once, so a
-    grid sweep costs one small matmul per batch.  Only :func:`oracle_solve`
-    uses it, which keeps the oracle independent of the solve engines.
+    batch of coefficient vectors costs one small matmul.  ``lipschitz`` is a
+    constant L with |v(c) - v(c')| <= L |c - c'|_2: sigma_max(BM) for the l2
+    norm, sum_j |BM[:, j]|_2 for the l1 norm.  Only :func:`oracle_solve`
+    uses this class, which keeps the oracle independent of the solve engines.
     """
 
     def __init__(
@@ -222,6 +225,10 @@ class _Objective:
         self.TM = targets @ M.T  # (m, p)
         self.BM = basis @ M.T  # (k, p)
         self.m = targets.shape[0]
+        if self.l1:
+            self.lipschitz = float(np.sqrt(np.einsum("ij,ij->j", self.BM, self.BM)).sum())
+        else:
+            self.lipschitz = float(np.linalg.norm(self.BM, 2))
 
     def _norm_rows(self, R: np.ndarray) -> np.ndarray:
         if self.l1:
@@ -648,12 +655,16 @@ def solve(problem: SimultaneousProblem) -> SolveReport:
 def oracle_solve(
     problem: SimultaneousProblem, radius: float, resolution: int
 ) -> tuple[float, np.ndarray]:
-    """Exhaustive grid minimization over [-radius, radius]^k, k <= 3.
+    """Grid minimization over [-radius, radius]^k, k <= 3.
 
     A coarse sweep at ``resolution`` points per axis is followed by one
-    refinement pass around the best cell with a tenfold finer step.  Used as
-    ground truth for :func:`solve` on small problems; the cost explodes with
-    k, hence the hard cap.
+    refinement pass of 21 points per axis around the best point, with a
+    tenfold finer step.  Each sweep returns the exact lattice minimum (the
+    lowest lattice index on ties) but evaluates only the blocks of the
+    lattice that a Lipschitz bound cannot rule out, so its cost follows the
+    region near the minimum rather than the whole resolution^k lattice.
+    Used as ground truth for :func:`solve` on small problems; the lattice
+    still grows as resolution^k, hence the cap on k.
     """
     k = problem.g_basis.k
     if k > 3:
@@ -663,11 +674,11 @@ def oracle_solve(
     if not (radius > 0.0):
         raise ValueError(f"radius must be positive, got {radius!r}")
 
-    obj = _Objective(problem.space, problem.targets, problem.g_basis.matrix, problem.b)
     if k == 0:
         g = problem.g_basis.combine(np.zeros(0))
         return objective(problem, g), g
 
+    obj = _Objective(problem.space, problem.targets, problem.g_basis.matrix, problem.b)
     axes = [np.linspace(-radius, radius, resolution)] * k
     best_val, best_c = _grid_min(obj, axes)
 
@@ -681,34 +692,71 @@ def oracle_solve(
     return objective(problem, g), g
 
 
+# Lattice points per axis in one block of the pruned grid sweep.
+_GRID_BLOCK = 8
+# Lattice points per ``values`` call while the blocks are visited.
+_GRID_BATCH = 2048
+# Relative slack on the block lower bounds, taken of
+# |v(centre)| + L * (radius + |centre|): the rounding of a value grows with
+# the value and with L times the size of its coefficients.  The slack is far
+# above that rounding and the rounding of L and of the radii, so a bound
+# never rises above a computed value in its block and pruning never loses
+# the grid minimum.
+_GRID_SLACK = 1e-9
+
+
+def _product(arrays: list[np.ndarray]) -> np.ndarray:
+    """Rows of the Cartesian product of 1-d arrays, in C order."""
+    grids = np.meshgrid(*arrays, indexing="ij")
+    return np.stack(grids, axis=-1).reshape(-1, len(arrays))
+
+
 def _grid_min(obj: _Objective, axes: list[np.ndarray]) -> tuple[float, np.ndarray]:
-    k = len(axes)
-    if k == 1:
-        C = axes[0][:, None]
-        vals = obj.values(C)
-        i = int(np.argmin(vals))
-        return float(vals[i]), C[i].copy()
-    if k == 2:
-        A, B = np.meshgrid(axes[0], axes[1], indexing="ij")
-        C = np.column_stack([A.ravel(), B.ravel()])
-        vals = obj.values(C)
-        i = int(np.argmin(vals))
-        return float(vals[i]), C[i].copy()
-    # k == 3: sweep the first axis in slabs to bound memory
-    A, B = np.meshgrid(axes[1], axes[2], indexing="ij")
-    tail = np.column_stack([A.ravel(), B.ravel()])
-    buf = np.empty((tail.shape[0], 3))
-    buf[:, 1:] = tail
-    best_val = np.inf
-    best_c = None
-    for v0 in axes[0]:
-        buf[:, 0] = v0
-        vals = obj.values(buf)
-        i = int(np.argmin(vals))
-        if vals[i] < best_val:
-            best_val = float(vals[i])
-            best_c = buf[i].copy()
-    return best_val, best_c
+    """Minimum of ``obj`` over the lattice axes[0] x ... x axes[k-1] and the
+    point of lowest C-order index attaining it.
+
+    Lipschitz branch and bound (Piyavskii 1972; Hansen and Jaumard 1995):
+    the lattice is cut into boxes of about ``_GRID_BLOCK`` points per axis,
+    and no point of a box can lie below v(centre) - L * radius.  Boxes are
+    visited by increasing bound, several per ``values`` call, until the next
+    bound exceeds the best value found.  The points that are evaluated go
+    through the same ``values`` path as a full sweep, so the result is the
+    full sweep's to the bit.
+    """
+    shape = tuple(a.size for a in axes)
+    edges = []  # per axis, chunk edges with sizes that differ by at most one
+    for n in shape:
+        chunks = -(-n // _GRID_BLOCK)
+        edges.append(np.arange(chunks + 1) * n // chunks)
+    lo = _product([e[:-1] for e in edges])
+    hi = _product([e[1:] for e in edges])
+    centres = _product([0.5 * (a[e[:-1]] + a[e[1:] - 1]) for a, e in zip(axes, edges)])
+    halves = _product([0.5 * (a[e[1:] - 1] - a[e[:-1]]) for a, e in zip(axes, edges)])
+    radius = _row_norms(halves)
+    vc = obj.values(centres)
+    L = obj.lipschitz
+    slack = _GRID_SLACK * (np.abs(vc) + L * (radius + _row_norms(centres)))
+    bound = vc - L * radius - slack
+    order = np.argsort(bound, kind="stable")
+
+    # offsets of the points of a full block, clipped to each block's end
+    offsets = _product([np.arange(_GRID_BLOCK)] * len(axes))
+    per_call = max(1, _GRID_BATCH // offsets.shape[0])
+    best_val, best_idx = np.inf, 0
+    for pos in range(0, order.size, per_call):
+        blocks = order[pos : pos + per_call]
+        blocks = blocks[bound[blocks] <= best_val]
+        if blocks.size == 0:
+            break  # bounds ascend: no later block can hold a better point
+        idx = np.minimum(lo[blocks, None] + offsets, hi[blocks, None] - 1)
+        idx = idx.reshape(-1, len(axes))
+        vals = obj.values(np.stack([a[i] for a, i in zip(axes, idx.T)], axis=1))
+        v = vals.min()
+        flat = int(np.ravel_multi_index(tuple(idx[vals == v].T), shape).min())
+        if v < best_val or (v == best_val and flat < best_idx):
+            best_val, best_idx = v, flat
+    point = np.unravel_index(best_idx, shape)
+    return float(best_val), np.array([a[i] for a, i in zip(axes, point)])
 
 
 def _subspace_parts(space: SpaceSpec, w_basis, b) -> tuple[SubspaceBasis, np.ndarray]:

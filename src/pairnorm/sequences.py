@@ -49,6 +49,18 @@ class SequencePrefix:
         return self.elements.shape[0]
 
 
+# Pairs of tail elements per chunk of :func:`cauchy_profile`.
+_PAIR_CHUNK = 4096
+
+
+def _against(space: SpaceSpec, X: np.ndarray, probe: np.ndarray) -> np.ndarray:
+    """The 2-norms ||x_i, probe|| of the rows of ``X``, with the bits of a
+    tiled probe but without the copy.  The probe goes in as a stride-0 view
+    rather than one row: on ``WhitePolynomial`` a 1-row matmul rounds
+    differently from the same row inside a many-row one."""
+    return two_norm_rows(space, X, np.broadcast_to(probe, X.shape))
+
+
 @dataclass
 class CauchyProfile:
     sup_y: float
@@ -61,6 +73,8 @@ def cauchy_profile(space: SpaceSpec, seq: SequencePrefix, tail_from: int) -> Cau
 
     ``tail_from`` counts skipped leading elements (0-based); the tail must
     keep at least two.  Nonincreasing in ``tail_from`` by construction.
+    The pairs are taken ``_PAIR_CHUNK`` at a time, never leaving a 1-row
+    last chunk, so every pair value has the bits of one unchunked batch.
     """
     n = len(seq)
     if not (0 <= tail_from < n - 1):
@@ -81,9 +95,14 @@ def cauchy_profile(space: SpaceSpec, seq: SequencePrefix, tail_from: int) -> Cau
 
     tail = seq.elements[tail_from:]
     i, j = np.triu_indices(tail.shape[0], 1)
-    diffs = tail[i] - tail[j]
-    sup_y = float(two_norm_rows(space, diffs, np.tile(seq.probe_y, (diffs.shape[0], 1))).max())
-    sup_z = float(two_norm_rows(space, diffs, np.tile(seq.probe_z, (diffs.shape[0], 1))).max())
+    cuts = list(range(0, i.size, _PAIR_CHUNK)) + [i.size]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]  # fold a 1-row remainder into the chunk before it
+    sups = np.empty((len(cuts) - 1, 2))
+    for c, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+        diffs = tail[i[lo:hi]] - tail[j[lo:hi]]
+        sups[c] = [_against(space, diffs, p).max() for p in (seq.probe_y, seq.probe_z)]
+    sup_y, sup_z = sups.max(axis=0).tolist()
     return CauchyProfile(sup_y=sup_y, sup_z=sup_z, tail_from=tail_from)
 
 
@@ -119,11 +138,11 @@ def convergence_profile(
     profiles = []
     for p_idx, probe in enumerate(probe_dirs):
         pv = as_element(space, probe, f"probe_dirs[{p_idx}]")
-        series = two_norm_rows(space, diffs, np.tile(pv, (n, 1)))
+        series = _against(space, diffs, pv)
         profiles.append(
             ProbeProfile(
-                probe=[float(v) for v in pv],
-                series=[float(v) for v in series],
+                probe=pv.tolist(),
+                series=series.tolist(),
                 tail_max=float(series[start:].max()),
                 blind_spot=bool(series.max() <= 1e-12),
             )
@@ -152,15 +171,13 @@ def norm_limit_check(
     """
     lim = as_element(space, limit, "limit")
     yv = as_element(space, y, "y")
-    n = len(seq)
-    ytile = np.tile(yv, (n, 1))
-    series = two_norm_rows(space, seq.elements, ytile)
+    series = _against(space, seq.elements, yv)
     lim_val = float(two_norm_rows(space, lim[None, :], yv[None, :])[0])
     deviations = np.abs(series - lim_val)
-    bounds = two_norm_rows(space, seq.elements - lim, ytile)
+    bounds = _against(space, seq.elements - lim, yv)
     report = NormLimitReport(
         max_deviation=float(deviations.max()),
-        deviations=[float(v) for v in deviations],
+        deviations=deviations.tolist(),
     )
     for i in np.flatnonzero(deviations > bounds + bound_tol):
         report.violations.append(

@@ -279,8 +279,10 @@ def two_norm_rows(space: SpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     row of the other.  On ``EuclideanGram`` the rows are evaluated in blocks
     of ``_BLOCK_ROWS``; each row's value depends on that row alone, so the
     result has the same bits as one unblocked evaluation.
-    ``WhitePolynomial`` runs one matmul over the whole batch, since
-    splitting it would change the BLAS rounding.
+    ``WhitePolynomial`` runs one matmul over the whole batch.  A 1-row
+    operand, or a 1-row part of a split batch, can round differently from the
+    same row inside a many-row matmul; a stride-0 view of one row (see
+    ``sequences``) keeps the bits of a tiled copy.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))

@@ -26,7 +26,8 @@ from pairnorm import (
     two_norm_rows,
     uniqueness_probe,
 )
-from pairnorm.approx import _linear_program
+import pairnorm.approx as approx
+from pairnorm.approx import _linear_program, _Objective
 from pairnorm.jsonio import to_dict
 
 GRAM = EuclideanGram(3)
@@ -281,6 +282,56 @@ def test_oracle_never_below_converged_solve():
         value, _ = oracle_solve(prob, 2.0, 201)
         if rep.converged:
             assert value >= rep.value - prob.solver.tol
+
+
+def full_lattice_min(obj, axes):
+    """Every lattice point in one ``values`` call, lowest index on ties."""
+    C = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
+    vals = obj.values(C)
+    i = int(np.argmin(vals))
+    return float(vals[i]), C[i].copy()
+
+
+def full_sweep_oracle(prob, radius, resolution):
+    """The grid oracle with a full sweep of both lattices."""
+    obj = _Objective(prob.space, prob.targets, prob.g_basis.matrix, prob.b)
+    best = full_lattice_min(obj, [np.linspace(-radius, radius, resolution)] * prob.g_basis.k)
+    h = 2.0 * radius / (resolution - 1)
+    fine = full_lattice_min(obj, [np.linspace(c - h, c + h, 21) for c in best[1]])
+    if fine[0] < best[0]:
+        best = fine
+    g = prob.g_basis.combine(best[1])
+    return objective(prob, g), g
+
+
+@pytest.mark.parametrize("k,resolution", [(1, 2001), (1, 10), (2, 101), (3, 37)])
+@pytest.mark.parametrize("white", [False, True])
+def test_oracle_matches_full_sweep_bits(k, resolution, white):
+    for seed in range(4):
+        m = 1 + seed
+        prob = random_white_problem(3, k, m, seed) if white else random_gram_problem(5, k, m, seed)
+        value, g = oracle_solve(prob, 1.5, resolution)
+        ref_value, ref_g = full_sweep_oracle(prob, 1.5, resolution)
+        assert value == ref_value
+        assert np.array_equal(g, ref_g)
+
+
+@pytest.mark.parametrize("batch", [None, 1])
+@pytest.mark.parametrize("k,resolution", [(1, 64), (2, 11), (2, 101)])
+def test_oracle_exact_tie_takes_lowest_index(k, resolution, batch, monkeypatch):
+    # the first basis vector is b itself, which p_b cannot see: every value
+    # along that axis ties exactly, and the lowest lattice index, -radius,
+    # must win; along E1 the minimum is on the lattice, at 0.  With one
+    # block per values call the tied blocks are met in separate calls, in
+    # the order of their bounds rather than of their indices.
+    if batch is not None:
+        monkeypatch.setattr(approx, "_GRID_BATCH", batch)
+    prob = gram_problem([[0.0, 0.5, 0.0], [0.0, -0.5, 0.0]], [E3, E1][:k])
+    value, g = oracle_solve(prob, 1.0, resolution)
+    ref_value, ref_g = full_sweep_oracle(prob, 1.0, resolution)
+    assert value == ref_value
+    assert np.array_equal(g, ref_g)
+    assert g[2] == -1.0
 
 
 # ---------------------------------------------------------------- blend

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import pairnorm.sequences as sequences
 from pairnorm import (
     EuclideanGram,
     SequencePrefix,
@@ -11,6 +12,7 @@ from pairnorm import (
     convergence_profile,
     norm_limit_check,
     two_norm,
+    two_norm_rows,
 )
 
 GRAM = EuclideanGram(3)
@@ -228,3 +230,53 @@ def test_cauchy_probe_margin_message():
     seq = SequencePrefix(GRAM, [[1, 0, 0], [0, 1, 0]], probe_y=Y, probe_z=[0, 0, 0])
     with pytest.raises(ValueError, match="probes must be nonzero"):
         cauchy_profile(GRAM, seq, tail_from=0)
+
+
+WHITE3 = WhitePolynomial(3, tuple(np.linspace(0.0, 1.0, 6)))
+
+
+def unchunked_sups(space, seq, tail_from):
+    """All pair differences of the tail and tiled probes in one batch."""
+    tail = seq.elements[tail_from:]
+    i, j = np.triu_indices(tail.shape[0], 1)
+    diffs = tail[i] - tail[j]
+    return tuple(
+        float(two_norm_rows(space, diffs, np.tile(p, (diffs.shape[0], 1))).max())
+        for p in (seq.probe_y, seq.probe_z)
+    )
+
+
+@pytest.mark.parametrize("space", [EuclideanGram(4), WHITE3])
+@pytest.mark.parametrize("chunk", [46, 45, 44, 22, 2])
+def test_cauchy_chunks_keep_bits(space, chunk, monkeypatch):
+    # a 10-element tail has 45 pairs: one chunk short of, equal to and
+    # beyond the pair count, and chunkings whose last chunk would hold one
+    # pair (45 = 44 + 1 = 2 * 22 + 1 = 22 * 2 + 1); that last pair, of the
+    # last two elements, is the widest, so its bits decide both suprema
+    rng = np.random.default_rng(chunk)
+    elements = rng.uniform(-1, 1, (13, 4))
+    elements[-2:] += [[-7.0, -3.0, 5.0, 1.0], [7.0, 3.0, -5.0, -1.0]]
+    seq = SequencePrefix(space, elements, probe_y=[0, 1, 0, 0], probe_z=[1.0, -0.5, 0.25, 0.0])
+    expected = unchunked_sups(space, seq, 3)
+    monkeypatch.setattr(sequences, "_PAIR_CHUNK", chunk)
+    prof = cauchy_profile(space, seq, tail_from=3)
+    assert (prof.sup_y, prof.sup_z) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 17, 1000])
+@pytest.mark.parametrize("degree", [2, 3, 5])
+def test_white_probe_series_match_tiled_bits(n, degree):
+    # the probe is passed once, yet every value has the bits of a tiled
+    # probe; a 1-row matmul would round differently on this space
+    space = WhitePolynomial(degree, tuple(np.linspace(0.0, 1.0, 2 * degree)))
+    rng = np.random.default_rng([n, degree])
+    elements = rng.uniform(-1, 1, (n, degree + 1))
+    limit, probe = rng.uniform(-1, 1, (2, degree + 1))
+    seq = SequencePrefix(space, elements)
+    tiled = np.tile(probe, (n, 1))
+
+    series = convergence_profile(space, seq, limit, [probe])[0].series
+    assert series == two_norm_rows(space, elements - limit, tiled).tolist()
+    lim_val = two_norm_rows(space, limit[None, :], probe[None, :])[0]
+    deviations = norm_limit_check(space, seq, limit, probe).deviations
+    assert deviations == np.abs(two_norm_rows(space, elements, tiled) - lim_val).tolist()
