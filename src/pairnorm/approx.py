@@ -7,8 +7,8 @@ and a nonzero direction b, the central problem is
 
 The objective is a max of seminorms of affine arguments, hence convex and
 1-Lipschitz with respect to p_b, but generally nonsmooth.  Writing
-p_b(u) = |M_b u| (see :func:`~pairnorm.spaces.seminorm_map`), each space has
-one engine:
+p_b(u) = |M_b u| (see :func:`~pairnorm.spaces.seminorm_map`), each norm
+order has one engine, chosen by the space's ``norm_ord`` alone:
 
 * ``EuclideanGram`` (l2 norm) is solved exactly.  Projecting out b and
   QR-factoring the projected basis turns the problem into a smallest
@@ -42,16 +42,13 @@ import numpy as np
 
 from .spaces import (
     _SV_RATIO_MIN,
-    EuclideanGram,
     SpaceSpec,
-    WhitePolynomial,
     _check_sweep,
     _row_norms,
     _sv_ratio,
     as_direction,
     as_element,
     as_elements,
-    element_dim,
     seminorm_map,
     two_norm,
     two_norm_rows,
@@ -141,10 +138,12 @@ class SubspaceBasis:
 
     def combine(self, coeffs: np.ndarray) -> np.ndarray:
         """Element of the subspace with the given coefficients."""
-        c = np.asarray(coeffs, dtype=float)
-        if self.k == 0:
-            return np.zeros(element_dim(self.space))
-        return c @ self.matrix
+        return np.asarray(coeffs, dtype=float) @ self.matrix
+
+
+def _as_basis(space: SpaceSpec, basis) -> SubspaceBasis:
+    """``basis`` itself if it is a :class:`SubspaceBasis`, else one built from it."""
+    return basis if isinstance(basis, SubspaceBasis) else SubspaceBasis(space, basis)
 
 
 class SimultaneousProblem:
@@ -169,9 +168,7 @@ class SimultaneousProblem:
         self.targets = as_elements(space, targets, "targets")
         if not self.targets.shape[0]:
             raise ValueError("targets must be nonempty")
-        if not isinstance(g_basis, SubspaceBasis):
-            g_basis = SubspaceBasis(space, g_basis)
-        self.g_basis = g_basis
+        self.g_basis = _as_basis(space, g_basis)
         self.b = as_direction(space, b)
         self.solver = solver if solver is not None else SolverConfig()
         self.b_independent = _independent_from_span(
@@ -221,7 +218,7 @@ class _Objective:
         self, space: SpaceSpec, targets: np.ndarray, basis: np.ndarray, b: np.ndarray
     ) -> None:
         M = seminorm_map(space, b)
-        self.l1 = isinstance(space, WhitePolynomial)
+        self.l1 = space.norm_ord == 1
         self.TM = targets @ M.T  # (m, p)
         self.BM = basis @ M.T  # (k, p)
         self.m = targets.shape[0]
@@ -394,20 +391,15 @@ def _enclosing_ball(
     Y = targets @ M.T
     scale = _pow2_peak(Y)
     Y = Y / scale  # squares of tiny or huge targets stay representable
-    k = basis.shape[0]
-    if k:
-        Q, R = np.linalg.qr(M @ basis.T)
-        q = Y @ Q
-        resid = Y - q @ Q.T
-    else:
-        q = np.zeros((Y.shape[0], 0))
-        resid = Y
+    Q, R = np.linalg.qr(M @ basis.T)
+    q = Y @ Q
+    resid = Y - q @ Q.T
     w = np.einsum("ij,ij->i", resid, resid)
 
     x, primal, dual, pivots = _active_set(q, w, cfg.max_iters)
     value = float(np.sqrt(primal) * scale)
     gap = value - np.sqrt(dual) * scale
-    coeffs = (np.linalg.solve(R, x) if k else x) * scale
+    coeffs = np.linalg.solve(R, x) * scale
     return _EngineResult(coeffs, value, pivots, bool(gap <= cfg.tol * (1.0 + value)))
 
 
@@ -558,7 +550,7 @@ def _linear_program(
     k = BM.shape[0]
     mp = m * p
     # Scaling the delta columns to unit peak changes no multiplier.
-    col_scale = np.abs(BM).max(axis=1) if k else np.ones(0)
+    col_scale = np.abs(BM).max(axis=1)
     A = _lp_matrix(BM / col_scale[:, None], m)
     t = 2 * k
     y_scale = _pow2_peak(Y)
@@ -621,7 +613,7 @@ def _engine(
 ) -> _EngineResult:
     """One run of the exact solve engine of the space from c = 0: enclosing
     ball for l2, simplex for l1."""
-    if isinstance(space, EuclideanGram):
+    if space.norm_ord == 2:
         return _enclosing_ball(space, targets, basis, b, cfg)
     return _linear_program(space, targets, basis, b, cfg)[0]
 
@@ -759,25 +751,18 @@ def _grid_min(obj: _Objective, axes: list[np.ndarray]) -> tuple[float, np.ndarra
     return float(best_val), np.array([a[i] for a, i in zip(axes, point)])
 
 
-def _subspace_parts(space: SpaceSpec, w_basis, b) -> tuple[SubspaceBasis, np.ndarray]:
-    if not isinstance(w_basis, SubspaceBasis):
-        w_basis = SubspaceBasis(space, w_basis)
+def _fit(
+    space: SpaceSpec, targets: np.ndarray, w_basis, b, cfg: Optional[SolverConfig] = None
+) -> tuple[float, np.ndarray, bool]:
+    """inf over w in span(w_basis) of max_i ||targets_i - w, b|| for validated
+    ``targets``: the value, a minimizer w and whether the engine converged."""
+    w_basis = _as_basis(space, w_basis)
     bv = as_direction(space, b)
     if not _independent_from_span(w_basis.matrix, bv):
         raise ValueError("b must be linearly independent from the subspace span")
-    return w_basis, bv
-
-
-def _distance(
-    space: SpaceSpec, x0, w_basis, b, cfg: Optional[SolverConfig] = None
-) -> tuple[float, np.ndarray, bool]:
-    """:func:`distance_to_subspace` plus whether the engine converged."""
-    x0v = as_element(space, x0, "x0")
-    w_basis, bv = _subspace_parts(space, w_basis, b)
-    solver = cfg if cfg is not None else SolverConfig()
-    res = _engine(space, x0v[None, :], w_basis.matrix, bv, solver)
-    w_star = w_basis.combine(res.coeffs)
-    return two_norm(space, x0v - w_star, bv), w_star, res.converged
+    res = _engine(space, targets, w_basis.matrix, bv, cfg if cfg is not None else SolverConfig())
+    w = w_basis.combine(res.coeffs)
+    return float(two_norm_rows(space, targets - w, bv[None, :]).max()), w, res.converged
 
 
 def distance_to_subspace(
@@ -791,7 +776,8 @@ def distance_to_subspace(
     a linear program (a weighted l1 fit).  ``cfg`` sets the pivot budget and
     the gap tolerance as in :func:`solve`.
     """
-    delta, w_star, _ = _distance(space, x0, w_basis, b, cfg)
+    x0v = as_element(space, x0, "x0")
+    delta, w_star, _ = _fit(space, x0v[None, :], w_basis, b, cfg)
     return delta, w_star
 
 
@@ -802,11 +788,7 @@ def set_distance(
     targets = as_elements(space, a_set, "a_set")
     if not targets.shape[0]:
         raise ValueError("a_set must be nonempty")
-    w_basis, bv = _subspace_parts(space, w_basis, b)
-    solver = cfg if cfg is not None else SolverConfig()
-    res = _engine(space, targets, w_basis.matrix, bv, solver)
-    w = w_basis.combine(res.coeffs)
-    return float(two_norm_rows(space, targets - w, bv[None, :]).max())
+    return _fit(space, targets, w_basis, b, cfg)[0]
 
 
 @dataclass
@@ -822,9 +804,10 @@ class Certificate:
     functional: np.ndarray
     delta: float
 
-    def evaluate(self, x, beta: float) -> float:
-        """F(x, beta*b)."""
-        return float(beta) * float(self.functional @ np.asarray(x, dtype=float))
+
+def _require_l2(space: SpaceSpec) -> None:
+    if space.norm_ord != 2:
+        raise ValueError("certificates are only constructed for EuclideanGram spaces")
 
 
 def certificate(space: SpaceSpec, x0, w_basis, b) -> Certificate:
@@ -835,8 +818,7 @@ def certificate(space: SpaceSpec, x0, w_basis, b) -> Certificate:
     from zero; an x0 inside the subspace (modulo the b line) has no
     separating functional.
     """
-    if not isinstance(space, EuclideanGram):
-        raise ValueError("certificates are only constructed for EuclideanGram spaces")
+    _require_l2(space)
     x0v = as_element(space, x0, "x0")
     bv = as_element(space, b, "b")
     delta, w_star = distance_to_subspace(space, x0v, w_basis, bv)
@@ -848,6 +830,12 @@ def certificate(space: SpaceSpec, x0, w_basis, b) -> Certificate:
     r = u - bv * float(u @ bv) / float(bv @ bv)
     h = r / float(r @ x0v)
     return Certificate(functional=h, delta=float(delta))
+
+
+# Sampled ratios may exceed 1/delta by this fraction; the ratio along the
+# residual must come within this absolute distance of 1/delta.
+_RATIO_SLACK = 1e-6
+_ATTAIN_TOL = 1e-4
 
 
 @dataclass
@@ -870,21 +858,17 @@ def certificate_soundness(
     b,
     samples: int = 1000,
     seed: int = 0,
-    ratio_slack: float = 1e-6,
-    attain_tol: float = 1e-4,
 ) -> CertificateSoundness:
     """Sample |F(x, beta*b)| / ||x, beta*b|| and compare against 1/delta.
 
-    The ratio must stay below (1/delta) * (1 + ratio_slack) everywhere and
-    reach 1/delta within ``attain_tol`` along the residual direction.
+    The ratio must stay below (1/delta) * (1 + ``_RATIO_SLACK``) everywhere
+    and reach 1/delta within ``_ATTAIN_TOL`` along the residual direction.
     """
-    if not isinstance(space, EuclideanGram):
-        raise ValueError("certificates are only constructed for EuclideanGram spaces")
+    _require_l2(space)
     _check_sweep(samples)
     x0v = as_element(space, x0, "x0")
     bv = as_element(space, b, "b")
-    if not isinstance(w_basis, SubspaceBasis):
-        w_basis = SubspaceBasis(space, w_basis)
+    w_basis = _as_basis(space, w_basis)
     h = cert.functional
 
     rng = np.random.default_rng(seed)
@@ -906,8 +890,8 @@ def certificate_soundness(
     )
     h_at_x0 = float(h @ x0v)
     passed = (
-        max_ratio <= bound * (1.0 + ratio_slack)
-        and abs(attained - bound) <= attain_tol
+        max_ratio <= bound * (1.0 + _RATIO_SLACK)
+        and abs(attained - bound) <= _ATTAIN_TOL
         and h_on_basis <= 1e-9
         and abs(h_at_x0 - 1.0) <= 1e-9
     )
@@ -991,9 +975,11 @@ class UniquenessReport:
     values: list[float] = field(default_factory=list)
 
 
-def uniqueness_probe(
-    problem: SimultaneousProblem, restarts: int = 16, cluster_tol: float = 1e-5
-) -> UniquenessReport:
+# Optimal points closer than this under p_b count as one optimizer.
+_CLUSTER_TOL = 1e-5
+
+
+def uniqueness_probe(problem: SimultaneousProblem, restarts: int = 16) -> UniquenessReport:
     """The exact optimal set; ``restarts`` is validated and echoed only.
 
     On ``EuclideanGram`` the squared objective is strictly convex in x = R c
@@ -1004,14 +990,14 @@ def uniqueness_probe(
     On ``WhitePolynomial`` flat optimal faces are possible.  ``values`` holds
     the optimum, then the face's 2k extreme points along the coefficient
     axes (see :func:`_linear_program`).  ``distinct_optimizers`` counts the
-    points at least ``cluster_tol`` under p_b from every point before them,
+    points at least ``_CLUSTER_TOL`` under p_b from every point before them,
     and ``spread`` is their largest pairwise p_b distance.
     """
     if restarts < 2:
         raise ValueError(f"restarts must be >= 2, got {restarts}")
     _require_solvable(problem)
     parts = (problem.space, problem.targets, problem.g_basis.matrix, problem.b, problem.solver)
-    if isinstance(problem.space, EuclideanGram):
+    if problem.space.norm_ord == 2:
         value = _enclosing_ball(*parts).value
         return UniquenessReport(1, 0.0, restarts, [value])
     points = _linear_program(*parts, face=True)
@@ -1019,7 +1005,7 @@ def uniqueness_probe(
     i, j = np.triu_indices(len(points), 1)
     dists = two_norm_rows(problem.space, elements[i] - elements[j], problem.b[None, :])
     near = np.zeros((len(points),) * 2, dtype=bool)
-    near[i, j] = dists < cluster_tol
+    near[i, j] = dists < _CLUSTER_TOL
     return UniquenessReport(
         distinct_optimizers=int(np.sum(~near.any(axis=0))),
         spread=float(dists.max()) if dists.size else 0.0,

@@ -122,9 +122,9 @@ def _convergence_exit(converged: bool) -> int:
 
 def _cmd_distance(args) -> int:
     problem, _ = jsonio.problem_from_dict(jsonio.load_json(args.file))
-    x0, basis, b = _single_target_parts(problem)
+    _, basis, b = _single_target_parts(problem)
     cfg = _overridden_solver(problem, args)
-    delta, w_star, converged = approx._distance(problem.space, x0, basis, b, cfg)
+    delta, w_star, converged = approx._fit(problem.space, problem.targets, basis, b, cfg)
     _emit({"delta": delta, "w_star": w_star})
     return _convergence_exit(converged)
 

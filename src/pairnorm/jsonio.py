@@ -215,69 +215,63 @@ def solver_from_dict(obj: Any, field: str = "solver") -> SolverConfig:
         raise ValidationError(field, str(exc)) from exc
 
 
-def problem_from_dict(obj: Any, field: str = "") -> tuple[SimultaneousProblem, Optional[dict]]:
+def problem_from_dict(obj: Any) -> tuple[SimultaneousProblem, Optional[dict]]:
     """Build a problem from a parsed file; returns (problem, blend section or None)."""
-    prefix = f"{field}." if field else ""
-    space = space_from_dict(_require(obj, "space", field or "problem"), f"{prefix}space")
-    targets = _as_vector_list(_require(obj, "targets", field or "problem"), f"{prefix}targets")
-    basis_raw = _as_vector_list(
-        _require(obj, "g_basis", field or "problem"), f"{prefix}g_basis", allow_empty=True
-    )
-    b = _as_vector(_require(obj, "b", field or "problem"), f"{prefix}b")
-    solver = solver_from_dict(obj.get("solver"), f"{prefix}solver")
+    space = space_from_dict(_require(obj, "space", "problem"))
+    targets = _as_vector_list(_require(obj, "targets", "problem"), "targets")
+    basis_raw = _as_vector_list(_require(obj, "g_basis", "problem"), "g_basis", allow_empty=True)
+    b = _as_vector(_require(obj, "b", "problem"), "b")
+    solver = solver_from_dict(obj.get("solver"))
     try:
         basis = SubspaceBasis(space, basis_raw)
         problem = SimultaneousProblem(space, targets, basis, b, solver)
     except ValueError as exc:
-        raise ValidationError(field or "problem", str(exc)) from exc
+        raise ValidationError("problem", str(exc)) from exc
 
     blend = obj.get("blend")
     if blend is not None:
         if not isinstance(blend, dict):
-            raise ValidationError(f"{prefix}blend", "expected an object")
+            raise ValidationError("blend", "expected an object")
         blend_parsed: dict[str, Any] = {
-            "g1": _as_vector(_require(blend, "g1", f"{prefix}blend"), f"{prefix}blend.g1"),
-            "g2": _as_vector(_require(blend, "g2", f"{prefix}blend"), f"{prefix}blend.g2"),
+            "g1": _as_vector(_require(blend, "g1", "blend"), "blend.g1"),
+            "g2": _as_vector(_require(blend, "g2", "blend"), "blend.g2"),
         }
         if "lambdas" in blend:
             lams = blend["lambdas"]
             if not isinstance(lams, list) or not lams:
-                raise ValidationError(f"{prefix}blend.lambdas", "expected a nonempty list")
+                raise ValidationError("blend.lambdas", "expected a nonempty list")
             blend_parsed["lambdas"] = [
-                _as_number(v, f"{prefix}blend.lambdas[{i}]") for i, v in enumerate(lams)
+                _as_number(v, f"blend.lambdas[{i}]") for i, v in enumerate(lams)
             ]
         blend = blend_parsed
     return problem, blend
 
 
 def sequence_from_dict(
-    obj: Any, field: str = ""
+    obj: Any,
 ) -> tuple[SpaceSpec, SequencePrefix, Optional[list[float]], Optional[list[list[float]]]]:
     """Build a sequence prefix; returns (space, prefix, limit or None, probe_dirs or None)."""
-    prefix = f"{field}." if field else ""
-    space = space_from_dict(_require(obj, "space", field or "sequence"), f"{prefix}space")
-    elements = _as_vector_list(
-        _require(obj, "elements", field or "sequence"), f"{prefix}elements"
-    )
+    space = space_from_dict(_require(obj, "space", "sequence"))
+    elements = _as_vector_list(_require(obj, "elements", "sequence"), "elements")
     probes = obj.get("probes")
     probe_y = probe_z = None
     if probes is not None:
         if not isinstance(probes, dict):
-            raise ValidationError(f"{prefix}probes", "expected an object with y and z")
+            raise ValidationError("probes", "expected an object with y and z")
         if "y" in probes:
-            probe_y = _as_vector(probes["y"], f"{prefix}probes.y")
+            probe_y = _as_vector(probes["y"], "probes.y")
         if "z" in probes:
-            probe_z = _as_vector(probes["z"], f"{prefix}probes.z")
+            probe_z = _as_vector(probes["z"], "probes.z")
     limit = None
     if "limit" in obj:
-        limit = _as_vector(obj["limit"], f"{prefix}limit")
+        limit = _as_vector(obj["limit"], "limit")
     probe_dirs = None
     if "probe_dirs" in obj:
-        probe_dirs = _as_vector_list(obj["probe_dirs"], f"{prefix}probe_dirs")
+        probe_dirs = _as_vector_list(obj["probe_dirs"], "probe_dirs")
     try:
         seq = SequencePrefix(space, elements, probe_y=probe_y, probe_z=probe_z)
     except ValueError as exc:
-        raise ValidationError(field or "sequence", str(exc)) from exc
+        raise ValidationError("sequence", str(exc)) from exc
     return space, seq, limit, probe_dirs
 
 

@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .spaces import SpaceSpec, as_element, as_elements, two_norm_rows
-from .spaces import _SV_RATIO_MIN, _sv_ratio
+from .spaces import _SV_RATIO_MIN, _sv_ratio, _Verdict
 
 __all__ = [
     "SequencePrefix",
@@ -151,22 +151,20 @@ def convergence_profile(
 
 
 @dataclass
-class NormLimitReport:
+class NormLimitReport(_Verdict):
     max_deviation: float
     deviations: list[float]
     violations: list[dict] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return not self.violations
+
+# Slack on the reverse-triangle bound of :func:`norm_limit_check`.
+_BOUND_TOL = 1e-9
 
 
-def norm_limit_check(
-    space: SpaceSpec, seq: SequencePrefix, limit, y, bound_tol: float = 1e-9
-) -> NormLimitReport:
+def norm_limit_check(space: SpaceSpec, seq: SequencePrefix, limit, y) -> NormLimitReport:
     """Deviations | ||x_n, y|| - ||limit, y|| | with the reverse-triangle bound.
 
-    Each deviation must stay within ||x_n - limit, y|| + bound_tol; any
+    Each deviation must stay within ||x_n - limit, y|| + ``_BOUND_TOL``; any
     violation is reported with its index and both sides of the inequality.
     """
     lim = as_element(space, limit, "limit")
@@ -179,7 +177,7 @@ def norm_limit_check(
         max_deviation=float(deviations.max()),
         deviations=deviations.tolist(),
     )
-    for i in np.flatnonzero(deviations > bounds + bound_tol):
+    for i in np.flatnonzero(deviations > bounds + _BOUND_TOL):
         report.violations.append(
             {
                 "index": int(i),

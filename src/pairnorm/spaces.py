@@ -17,6 +17,13 @@ Two concrete spaces are implemented:
     coefficient vectors, with ||f, g|| = sum_k |f(t_k) g'(t_k) - f'(t_k) g(t_k)|
     taken over 2n fixed, pairwise distinct sample points t_k.
 
+Each space class carries its own behaviour: ``element_dim`` (coordinates per
+element), ``norm_ord`` (2 or 1, the norm of the map form p_b(u) = |M_b u|),
+the paired-row kernel ``pair_rows`` and ``seminorm_map`` (M_b of a validated
+b); ``WhitePolynomial`` holds its evaluation ``tables`` on the instance.  The
+module functions of the same names are the entry points the other modules
+call, and no code asks which class a space is.
+
 ``check_axioms`` verifies the defining properties on seeded random samples and
 reports every violation together with the witnessing tuple.  Because deciding
 linear independence of arbitrary float vectors is ill-posed, N1 is only tested
@@ -33,7 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, partial
 from typing import Callable, ClassVar, Optional, Union
 
 import numpy as np
@@ -61,9 +68,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class EuclideanGram:
-    """R^dim with the parallelogram-area 2-norm."""
+    """R^dim with the parallelogram-area 2-norm; p_b(u) = |M_b u|_2."""
 
     kind: ClassVar[str] = "euclidean_gram"
+    norm_ord: ClassVar[int] = 2
     dim: int
 
     def __post_init__(self) -> None:
@@ -72,16 +80,46 @@ class EuclideanGram:
         if self.dim < 2:
             raise ValueError(f"a 2-norm needs dim >= 2, got {self.dim}")
 
+    @property
+    def element_dim(self) -> int:
+        return self.dim
+
+    def pair_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """Areas of paired rows, ``_BLOCK_ROWS`` rows at a time."""
+        n = np.broadcast_shapes(X.shape[:1], Y.shape[:1])[0]
+        out = np.empty(n)
+        for lo in range(0, n, _BLOCK_ROWS):
+            blk = slice(lo, lo + _BLOCK_ROWS)
+            out[blk] = _euclid_rows(
+                X[blk] if X.shape[0] > 1 else X, Y[blk] if Y.shape[0] > 1 else Y
+            )
+        return out
+
+    def seminorm_map(self, bv: np.ndarray) -> np.ndarray:
+        """M = |b| I - b b^T / |b| for a validated direction ``bv``."""
+        with np.errstate(over="ignore"):  # an overflow lands outside the range
+            sq = float(bv @ bv)
+        if _SQ_MIN <= sq <= _SQ_MAX:
+            nb = math.sqrt(sq)  # np.linalg.norm's formula: the map keeps its bits
+            return nb * np.eye(self.dim) - np.outer(bv, bv) / nb
+        # |b|^2 or b b^T would overflow or underflow: M = |b| (I - u u^T)
+        # with the unit vector u = b / |b|.
+        nb = float(_row_norms(bv[None, :])[0])
+        u = bv / nb
+        return nb * (np.eye(self.dim) - np.outer(u, u))
+
 
 @dataclass(frozen=True)
 class WhitePolynomial:
-    """Polynomials of degree <= degree on [0, 1], sampled at 2*degree points.
+    """Polynomials of degree <= degree on [0, 1], sampled at 2*degree points;
+    p_b(u) = |M_b u|_1.
 
     Elements are monomial coefficient vectors of length degree + 1, low
     order first.  Derivatives are taken exactly on the coefficients.
     """
 
     kind: ClassVar[str] = "white_polynomial"
+    norm_ord: ClassVar[int] = 1
     degree: int
     points: tuple[float, ...]
 
@@ -101,17 +139,43 @@ class WhitePolynomial:
         if any(not np.isfinite(p) or p < 0.0 or p > 1.0 for p in pts):
             raise ValueError("sample points must lie in [0, 1]")
 
+    @property
+    def element_dim(self) -> int:
+        return self.degree + 1
+
+    @cached_property
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """V[k, j] = t_k**j, Vd[k, j] = j * t_k**(j-1): evaluation and exact
+        derivative at the sample points.  Cached on the instance, outside the
+        dataclass fields, so they live as long as the space and no longer."""
+        d = self.degree + 1
+        V = np.vander(np.asarray(self.points, dtype=float), d, increasing=True)
+        Vd = np.zeros_like(V)
+        Vd[:, 1:] = V[:, :-1] * np.arange(1, d)
+        return V, Vd
+
+    def pair_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+        """sum_k |f(t_k) g'(t_k) - f'(t_k) g(t_k)| over paired rows, one
+        matmul over the whole batch."""
+        V, Vd = self.tables
+        fv, fd = X @ V.T, X @ Vd.T
+        gv, gd = Y @ V.T, Y @ Vd.T
+        return np.abs(fv * gd - fd * gv).sum(axis=1)
+
+    def seminorm_map(self, bv: np.ndarray) -> np.ndarray:
+        """Row k is b'(t_k) V[k] - b(t_k) Vd[k], for a validated direction ``bv``."""
+        V, Vd = self.tables
+        bval = V @ bv
+        bder = Vd @ bv
+        return V * bder[:, None] - Vd * bval[:, None]
+
 
 SpaceSpec = Union[EuclideanGram, WhitePolynomial]
 
 
 def element_dim(space: SpaceSpec) -> int:
     """Number of coordinates an element of ``space`` carries."""
-    if isinstance(space, EuclideanGram):
-        return space.dim
-    if isinstance(space, WhitePolynomial):
-        return space.degree + 1
-    raise TypeError(f"not a space spec: {space!r}")
+    return space.element_dim
 
 
 def as_element(space: SpaceSpec, coords, name: str = "element") -> np.ndarray:
@@ -158,17 +222,6 @@ def as_direction(space: SpaceSpec, b, name: str = "b") -> np.ndarray:
     if not np.any(bv != 0.0):
         raise ValueError(f"{name}: direction must be nonzero")
     return bv
-
-
-@lru_cache(maxsize=None)
-def _poly_tables(space: WhitePolynomial) -> tuple[np.ndarray, np.ndarray]:
-    # V[k, j] = t_k**j, Vd[k, j] = j * t_k**(j-1): evaluation and exact derivative.
-    t = np.asarray(space.points, dtype=float)
-    d = space.degree + 1
-    V = np.vander(t, d, increasing=True)
-    Vd = np.zeros_like(V)
-    Vd[:, 1:] = V[:, :-1] * np.arange(1, d)
-    return V, Vd
 
 
 # Squared row norms outside [2^-500, 2^500] have underflowed or overflowed,
@@ -271,7 +324,8 @@ _BLOCK_ROWS = 2048
 
 
 def two_norm_rows(space: SpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row-wise 2-norm of paired rows of ``X`` and ``Y``.
+    """Row-wise 2-norm of paired rows of ``X`` and ``Y``, by the space's
+    ``pair_rows`` kernel.
 
     No validation: callers check their rows once per batch (see
     :func:`as_elements`), and batch callers such as ``approx.objective``
@@ -286,19 +340,7 @@ def two_norm_rows(space: SpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    if isinstance(space, EuclideanGram):
-        n = np.broadcast_shapes(X.shape[:1], Y.shape[:1])[0]
-        out = np.empty(n)
-        for lo in range(0, n, _BLOCK_ROWS):
-            blk = slice(lo, lo + _BLOCK_ROWS)
-            out[blk] = _euclid_rows(
-                X[blk] if X.shape[0] > 1 else X, Y[blk] if Y.shape[0] > 1 else Y
-            )
-        return out
-    V, Vd = _poly_tables(space)
-    fv, fd = X @ V.T, X @ Vd.T
-    gv, gd = Y @ V.T, Y @ Vd.T
-    return np.abs(fv * gd - fd * gv).sum(axis=1)
+    return space.pair_rows(X, Y)
 
 
 def two_norm(space: SpaceSpec, x, y) -> float:
@@ -322,33 +364,26 @@ def seminorm_b(space: SpaceSpec, b, x) -> float:
 
 
 def seminorm_map(space: SpaceSpec, b) -> np.ndarray:
-    """Matrix M with p_b(u) = |M u| (Euclidean norm for ``EuclideanGram``,
-    l1 norm for ``WhitePolynomial``).
+    """Matrix M with p_b(u) = |M u| in the space's ``norm_ord`` (2 for
+    ``EuclideanGram``, 1 for ``WhitePolynomial``).
 
     The linear-map form makes the seminorm cheap to evaluate over batches and
     gives subgradients directly; it agrees with :func:`seminorm_b` up to
     rounding.
     """
-    bv = as_direction(space, b)
-    if isinstance(space, EuclideanGram):
-        with np.errstate(over="ignore"):  # an overflow lands outside the range
-            sq = float(bv @ bv)
-        if _SQ_MIN <= sq <= _SQ_MAX:
-            nb = math.sqrt(sq)  # np.linalg.norm's formula: the map keeps its bits
-            return nb * np.eye(space.dim) - np.outer(bv, bv) / nb
-        # |b|^2 or b b^T would overflow or underflow: M = |b| (I - u u^T)
-        # with the unit vector u = b / |b|.
-        nb = float(_row_norms(bv[None, :])[0])
-        u = bv / nb
-        return nb * (np.eye(space.dim) - np.outer(u, u))
-    V, Vd = _poly_tables(space)
-    bval = V @ bv
-    bder = Vd @ bv
-    return V * bder[:, None] - Vd * bval[:, None]
+    return space.seminorm_map(as_direction(space, b))
 
 
 # ---------------------------------------------------------------------------
 # randomized property checks
+
+
+class _Verdict:
+    """``passed`` for a report: true iff it lists no violations."""
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
 @dataclass
@@ -359,7 +394,7 @@ class AxiomViolation:
 
 
 @dataclass
-class AxiomReport:
+class AxiomReport(_Verdict):
     """Outcome of a randomized axiom sweep; ``passed`` iff no violations."""
 
     space: SpaceSpec
@@ -368,10 +403,6 @@ class AxiomReport:
     tol: float
     counts: dict[str, int] = field(default_factory=dict)
     violations: list[AxiomViolation] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
 
 
 def _check_sweep(samples: int, tol: Optional[float] = None) -> None:
@@ -481,33 +512,35 @@ def check_axioms(
         },
     )
 
-    n_shift = norm(X, Y + alpha[:, None] * X)
-    shift_err = np.abs(n_shift - n_xy)
-    _record(
-        report,
-        "shift_invariance",
-        shift_err > tol,
-        lambda i: {
-            "x": X[i].tolist(),
-            "y": Y[i].tolist(),
-            "alpha": float(alpha[i]),
-            "error": float(shift_err[i]),
-        },
-    )
-
+    _record(report, "shift_invariance", *_shift_block(norm, X, Y, alpha, n_xy, tol))
     return report
 
 
+def _shift_block(
+    norm: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    X: np.ndarray,
+    Y: np.ndarray,
+    alpha: np.ndarray,
+    n_xy: np.ndarray,
+    tol: float,
+) -> tuple[np.ndarray, Callable[[int], dict]]:
+    """Rows where ||x, y + alpha*x|| moves more than ``tol`` from ``n_xy`` =
+    ||x, y||, and the witness of a row."""
+    err = np.abs(norm(X, Y + alpha[:, None] * X) - n_xy)
+    return err > tol, lambda i: {
+        "x": X[i].tolist(),
+        "y": Y[i].tolist(),
+        "alpha": float(alpha[i]),
+        "error": float(err[i]),
+    }
+
+
 @dataclass
-class IdentityReport:
+class IdentityReport(_Verdict):
     samples: int
     seed: int
     tol: float
     violations: list[dict] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
 
 
 def shift_identity_check(
@@ -521,24 +554,14 @@ def shift_identity_check(
     Y = rng.uniform(-1.0, 1.0, (samples, d))
     alpha = rng.uniform(-2.0, 2.0, samples)
     base = two_norm_rows(space, X, Y)
-    shifted = two_norm_rows(space, X, Y + alpha[:, None] * X)
-    err = np.abs(shifted - base)
+    bad, witness = _shift_block(partial(two_norm_rows, space), X, Y, alpha, base, tol)
     report = IdentityReport(samples=samples, seed=seed, tol=tol)
-    for i in np.flatnonzero(err > tol):
-        report.violations.append(
-            {
-                "index": int(i),
-                "x": X[i].tolist(),
-                "y": Y[i].tolist(),
-                "alpha": float(alpha[i]),
-                "error": float(err[i]),
-            }
-        )
+    report.violations = [{"index": i, **witness(i)} for i in np.flatnonzero(bad).tolist()]
     return report
 
 
 @dataclass
-class DependentTripleReport:
+class DependentTripleReport(_Verdict):
     samples: int
     seed: int
     tol: float
@@ -546,10 +569,6 @@ class DependentTripleReport:
     branch_minus: int = 0
     branch_both: int = 0
     violations: list[dict] = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
 
 
 def dependent_triple_check(

@@ -239,6 +239,26 @@ def test_trivial_basis_allowed():
     assert np.allclose(rep.g_star, 0.0)
 
 
+def test_white_trivial_basis_values():
+    # k = 0 on the l1 engine: every entry point returns the objective at
+    # g = 0.  The bits were recorded while the engines still had k = 0 branches.
+    space = WhitePolynomial(3, (0.0, 0.2, 0.4, 0.6, 0.8, 1.0))
+    targets = [[1.0, -0.5, 0.25, 2.0], [0.5, 1.5, -1.0, 0.0], [-2.0, 0.0, 0.75, 1.0]]
+    b = [0.0, 1.0, 0.0, 0.5]
+    value = float.fromhex("0x1.74339c0ebedfap+4")
+    prob = SimultaneousProblem(space, targets, [], b)
+    rep = solve(prob)
+    assert rep.value == value == objective(prob, np.zeros(4))
+    assert rep.converged and rep.per_restart[0].iterations == 0
+    assert rep.g_star.tolist() == [0.0] * 4
+    uniq = uniqueness_probe(prob)
+    assert (uniq.distinct_optimizers, uniq.spread, uniq.values) == (1, 0.0, [value])
+    delta, w_star = distance_to_subspace(space, targets[0], [], b)
+    assert delta == float.fromhex("0x1.8016f0068db8cp+2")
+    assert w_star.tolist() == [0.0] * 4
+    assert set_distance(space, targets, [], b) == value
+
+
 # ---------------------------------------------------------------- oracle
 
 
