@@ -46,6 +46,7 @@ from .spaces import (
     _check_sweep,
     _row_norms,
     _sv_ratio,
+    _uniform_blocks,
     as_direction,
     as_element,
     as_elements,
@@ -863,6 +864,8 @@ def certificate_soundness(
 
     The ratio must stay below (1/delta) * (1 + ``_RATIO_SLACK``) everywhere
     and reach 1/delta within ``_ATTAIN_TOL`` along the residual direction.
+    The samples are drawn and evaluated ``spaces._SWEEP_ROWS`` rows at a
+    time, with the bits of one whole draw.
     """
     _require_l2(space)
     _check_sweep(samples)
@@ -871,14 +874,15 @@ def certificate_soundness(
     w_basis = _as_basis(space, w_basis)
     h = cert.functional
 
-    rng = np.random.default_rng(seed)
-    X = rng.uniform(-1.0, 1.0, (samples, space.dim))
-    beta = rng.uniform(-1.0, 1.0, samples)
-    numer = np.abs(beta * (X @ h))
-    denom = two_norm_rows(space, X, beta[:, None] * bv[None, :])
-    ok = denom > 1e-12
-    ratios = numer[ok] / denom[ok]
-    max_ratio = float(ratios.max()) if ratios.size else 0.0
+    max_ratio, kept = 0.0, 0
+    for _, (X, beta) in _uniform_blocks(
+        seed, samples, [(-1.0, 1.0, (space.dim,)), (-1.0, 1.0, ())]
+    ):
+        numer = np.abs(beta * (X @ h))
+        denom = two_norm_rows(space, X, beta[:, None] * bv[None, :])
+        ok = denom > 1e-12
+        max_ratio = float((numer[ok] / denom[ok]).max(initial=max_ratio))
+        kept += int(np.sum(ok))
 
     _, w_star = distance_to_subspace(space, x0v, w_basis, bv)
     witness = x0v - w_star
@@ -902,7 +906,7 @@ def certificate_soundness(
         attained_ratio=float(attained),
         h_on_basis_max=h_on_basis,
         h_at_x0=h_at_x0,
-        samples=int(np.sum(ok)),
+        samples=kept,
         passed=passed,
     )
 

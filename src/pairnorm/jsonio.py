@@ -51,7 +51,13 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+# json.dumps of a str, without its per-call encoder set-up.
+_quote = json.encoder.encode_basestring_ascii
+
+
 def _emit(obj: Any, out: list[str], indent: int) -> None:
+    # Plain floats, ints and strings, the bulk of a large report, are written
+    # inline, without a call of _emit per value.
     pad = "  " * indent
     if isinstance(obj, dict):
         if not obj:
@@ -59,13 +65,23 @@ def _emit(obj: Any, out: list[str], indent: int) -> None:
             return
         out.append("{\n")
         for i, (key, val) in enumerate(obj.items()):
-            out.append(f"{pad}  {json.dumps(str(key))}: ")
-            _emit(val, out, indent + 1)
+            out.append(f"{pad}  {_quote(str(key))}: ")
+            if type(val) is float:
+                out.append(_fmt_float(val))
+            elif type(val) is int:
+                out.append(str(val))
+            elif type(val) is str:
+                out.append(_quote(val))
+            else:
+                _emit(val, out, indent + 1)
             out.append(",\n" if i < len(obj) - 1 else "\n")
         out.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
         if len(obj) == 0:
             out.append("[]")
+            return
+        if all(type(val) is float for val in obj):
+            out.append("[" + ", ".join(map(_fmt_float, obj)) + "]")
             return
         out.append("[")
         for i, val in enumerate(obj):
@@ -82,7 +98,7 @@ def _emit(obj: Any, out: list[str], indent: int) -> None:
     elif isinstance(obj, (float, np.floating)):
         out.append(_fmt_float(float(obj)))
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(_quote(obj))
     elif isinstance(obj, np.ndarray):
         _emit(obj.tolist(), out, indent)
     else:

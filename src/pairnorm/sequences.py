@@ -19,7 +19,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .spaces import SpaceSpec, as_element, as_elements, two_norm_rows
-from .spaces import _SV_RATIO_MIN, _sv_ratio, _Verdict
+from .spaces import _SV_RATIO_MIN, _row_blocks, _sv_ratio, _Verdict
 
 __all__ = [
     "SequencePrefix",
@@ -73,8 +73,9 @@ def cauchy_profile(space: SpaceSpec, seq: SequencePrefix, tail_from: int) -> Cau
 
     ``tail_from`` counts skipped leading elements (0-based); the tail must
     keep at least two.  Nonincreasing in ``tail_from`` by construction.
-    The pairs are taken ``_PAIR_CHUNK`` at a time, never leaving a 1-row
-    last chunk, so every pair value has the bits of one unchunked batch.
+    The pairs are taken ``_PAIR_CHUNK`` at a time by ``spaces._row_blocks``,
+    which never leaves a 1-row last chunk, so every pair value has the bits
+    of one unchunked batch.
     """
     n = len(seq)
     if not (0 <= tail_from < n - 1):
@@ -95,11 +96,9 @@ def cauchy_profile(space: SpaceSpec, seq: SequencePrefix, tail_from: int) -> Cau
 
     tail = seq.elements[tail_from:]
     i, j = np.triu_indices(tail.shape[0], 1)
-    cuts = list(range(0, i.size, _PAIR_CHUNK)) + [i.size]
-    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
-        del cuts[-2]  # fold a 1-row remainder into the chunk before it
-    sups = np.empty((len(cuts) - 1, 2))
-    for c, (lo, hi) in enumerate(zip(cuts[:-1], cuts[1:])):
+    chunks = _row_blocks(i.size, _PAIR_CHUNK)
+    sups = np.empty((len(chunks), 2))
+    for c, (lo, hi) in enumerate(chunks):
         diffs = tail[i[lo:hi]] - tail[j[lo:hi]]
         sups[c] = [_against(space, diffs, p).max() for p in (seq.probe_y, seq.probe_z)]
     sup_y, sup_z = sups.max(axis=0).tolist()
@@ -125,7 +124,9 @@ def convergence_profile(
 
     The caller judges decay.  ``tail_from`` defaults to the second half of
     the prefix.  A probe collinear with every difference x_n - limit sees
-    only zeros; such blind spots are flagged rather than celebrated.
+    only zeros; such blind spots are flagged rather than celebrated.  The
+    differences are formed ``spaces._SWEEP_ROWS`` rows at a time, so no copy
+    of the whole prefix is made; each value keeps the bits of one batch.
     """
     lim = as_element(space, limit, "limit")
     if not probe_dirs:
@@ -134,20 +135,21 @@ def convergence_profile(
     start = n // 2 if tail_from is None else tail_from
     if not (0 <= start < n):
         raise ValueError(f"tail_from out of range: {start} of {n}")
-    diffs = seq.elements - lim
-    profiles = []
-    for p_idx, probe in enumerate(probe_dirs):
-        pv = as_element(space, probe, f"probe_dirs[{p_idx}]")
-        series = _against(space, diffs, pv)
-        profiles.append(
-            ProbeProfile(
-                probe=pv.tolist(),
-                series=series.tolist(),
-                tail_max=float(series[start:].max()),
-                blind_spot=bool(series.max() <= 1e-12),
-            )
+    probes = [as_element(space, p, f"probe_dirs[{i}]") for i, p in enumerate(probe_dirs)]
+    series = np.empty((len(probes), n))
+    for lo, hi in _row_blocks(n):
+        diffs = seq.elements[lo:hi] - lim
+        for s, pv in zip(series, probes):
+            s[lo:hi] = _against(space, diffs, pv)
+    return [
+        ProbeProfile(
+            probe=pv.tolist(),
+            series=s.tolist(),
+            tail_max=float(s[start:].max()),
+            blind_spot=bool(s.max() <= 1e-12),
         )
-    return profiles
+        for pv, s in zip(probes, series)
+    ]
 
 
 @dataclass
@@ -166,13 +168,18 @@ def norm_limit_check(space: SpaceSpec, seq: SequencePrefix, limit, y) -> NormLim
 
     Each deviation must stay within ||x_n - limit, y|| + ``_BOUND_TOL``; any
     violation is reported with its index and both sides of the inequality.
+    Both series are evaluated ``spaces._SWEEP_ROWS`` rows at a time, so the
+    differences x_n - limit never exist for the whole prefix at once.
     """
     lim = as_element(space, limit, "limit")
     yv = as_element(space, y, "y")
-    series = _against(space, seq.elements, yv)
+    series, bounds = np.empty((2, len(seq)))
+    for lo, hi in _row_blocks(len(seq)):
+        rows = seq.elements[lo:hi]
+        series[lo:hi] = _against(space, rows, yv)
+        bounds[lo:hi] = _against(space, rows - lim, yv)
     lim_val = float(two_norm_rows(space, lim[None, :], yv[None, :])[0])
     deviations = np.abs(series - lim_val)
-    bounds = _against(space, seq.elements - lim, yv)
     report = NormLimitReport(
         max_deviation=float(deviations.max()),
         deviations=deviations.tolist(),

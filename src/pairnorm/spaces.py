@@ -33,7 +33,13 @@ Batches are the unit of work.  ``as_elements`` validates a whole list of rows
 once, in one pass, and ``two_norm_rows`` evaluates paired rows in one call
 (``approx.objective`` makes one such call over all targets).  The
 ``EuclideanGram`` kernel walks its rows in cache-sized blocks, which changes
-no bit of the result because every row is computed on its own.
+no bit of the result because every row is computed on its own.  The large
+sweeps (``check_axioms``, ``shift_identity_check``,
+``approx.certificate_soundness`` and the ``sequences`` checks) stream their
+rows in blocks of ``_SWEEP_ROWS``: each block is drawn, or differenced, and
+evaluated on its own, so memory stays flat as the batch grows.  A seeded
+draw is cut into blocks on the PCG64 stream itself, so every block has the
+bits of the whole draw and each report the bytes of an unblocked sweep.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property, partial
-from typing import Callable, ClassVar, Optional, Union
+from typing import Callable, ClassVar, Iterator, Optional, Union
 
 import numpy as np
 
@@ -322,6 +328,51 @@ def _euclid_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 # them through memory.
 _BLOCK_ROWS = 2048
 
+# Rows per block of a streamed sweep, a multiple of ``_BLOCK_ROWS``.  Smaller
+# blocks cost time in a fresh process: no large array is ever freed, so
+# glibc's dynamic mmap threshold never rises and every 256 kB temporary of a
+# 2048-row block is mapped and faulted in anew.  A lone 1e5 x 16
+# ``check_axioms`` took 43k page faults and a third more wall time with
+# 2048-row blocks, 7k with 8192.
+_SWEEP_ROWS = 8192
+
+
+def _row_blocks(n: int, rows: Optional[int] = None) -> list[tuple[int, int]]:
+    """``range(n)`` cut into (lo, hi) blocks of ``rows`` rows, by default
+    ``_SWEEP_ROWS``.  A 1-row remainder is folded into the block before it,
+    since a 1-row ``WhitePolynomial`` matmul rounds differently from the
+    same row inside a larger one."""
+    cuts = list(range(0, n, rows or _SWEEP_ROWS)) + [n]
+    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
+        del cuts[-2]
+    return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _uniform_blocks(
+    seed, samples: int, draws: list[tuple[float, float, tuple]]
+) -> Iterator[tuple[int, list[np.ndarray]]]:
+    """Yield (lo, arrays) per block of :func:`_row_blocks`: the block's first
+    row and its rows of each draw.
+
+    ``draws`` lists (low, high, row shape) of consecutive
+    ``default_rng(seed).uniform(low, high, (samples, *shape))`` calls.  Each
+    draw gets its own generator, advanced to where that draw starts on the
+    one PCG64 stream; ``uniform`` takes one 64-bit output per double, so the
+    blocks, concatenated, have the bits of the whole draws.
+    """
+    samples = int(samples)
+    gens, at = [], 0
+    for _, _, shape in draws:
+        gen = np.random.default_rng(seed)
+        gen.bit_generator.advance(at)
+        gens.append(gen)
+        at += samples * math.prod(shape)
+    for lo, hi in _row_blocks(samples):
+        yield lo, [
+            gen.uniform(low, high, (hi - lo, *shape))
+            for gen, (low, high, shape) in zip(gens, draws)
+        ]
+
 
 def two_norm_rows(space: SpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     """Row-wise 2-norm of paired rows of ``X`` and ``Y``, by the space's
@@ -414,18 +465,6 @@ def _check_sweep(samples: int, tol: Optional[float] = None) -> None:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
 
-def _record(
-    report: AxiomReport,
-    check: str,
-    bad: np.ndarray,
-    witness: Callable[[int], dict],
-) -> None:
-    idx = np.flatnonzero(bad)
-    report.counts[check] = int(idx.size)
-    for i in idx:
-        report.violations.append(AxiomViolation(check, int(i), witness(int(i))))
-
-
 def check_axioms(
     space: SpaceSpec,
     samples: int,
@@ -443,35 +482,57 @@ def check_axioms(
     * N4 triangle inequality in the first slot within tol
     * shift invariance ||x, y + alpha*x|| = ||x, y|| within tol
 
+    The samples are drawn and checked ``_SWEEP_ROWS`` rows at a time (see
+    :func:`_uniform_blocks`); the report lists the violations check by
+    check, in sample order, exactly as one whole-batch sweep would.
+
     ``norm_fn`` is a testing hook: a replacement batch norm with the same
-    signature as ``two_norm_rows(space, X, Y)``, used to confirm that a
-    corrupted norm is actually caught.
+    signature as ``two_norm_rows(space, X, Y)``, called on one block at a
+    time, used to confirm that a corrupted norm is actually caught.
     """
     _check_sweep(samples, tol)
-    rng = np.random.default_rng(seed)
-    d = element_dim(space)
-    X = rng.uniform(-1.0, 1.0, (samples, d))
-    Y = rng.uniform(-1.0, 1.0, (samples, d))
-    Z = rng.uniform(-1.0, 1.0, (samples, d))
-    alpha = rng.uniform(-2.0, 2.0, samples)
-    beta = rng.uniform(-1.0, 1.0, samples)
+    row = (element_dim(space),)
+    norm = norm_fn if norm_fn is not None else partial(two_norm_rows, space)
+    found: dict[str, list[AxiomViolation]] = {}
+    for lo, block in _uniform_blocks(
+        seed, samples, [(-1.0, 1.0, row)] * 3 + [(-2.0, 2.0, ()), (-1.0, 1.0, ())]
+    ):
+        for check, bad, witness in _axiom_checks(norm, tol, *block):
+            found.setdefault(check, []).extend(
+                AxiomViolation(check, lo + i, witness(i)) for i in np.flatnonzero(bad).tolist()
+            )
+    return AxiomReport(
+        space=space,
+        samples=samples,
+        seed=seed,
+        tol=tol,
+        counts={check: len(v) for check, v in found.items()},
+        violations=[v for vs in found.values() for v in vs],
+    )
 
-    norm = norm_fn if norm_fn is not None else (lambda A, B: two_norm_rows(space, A, B))
-    report = AxiomReport(space=space, samples=samples, seed=seed, tol=tol)
 
+def _axiom_checks(
+    norm: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    tol: float,
+    X: np.ndarray,
+    Y: np.ndarray,
+    Z: np.ndarray,
+    alpha: np.ndarray,
+    beta: np.ndarray,
+) -> Iterator[tuple[str, np.ndarray, Callable[[int], dict]]]:
+    """The checks of :func:`check_axioms` on one block, in report order:
+    each check's name, its violating rows and the witness of a row."""
     n_xy = norm(X, Y)
 
     n_dep = norm(X, beta[:, None] * X)
-    _record(
-        report,
+    yield (
         "N1_dependent_zero",
         n_dep > tol,
         lambda i: {"x": X[i].tolist(), "beta": float(beta[i]), "value": float(n_dep[i])},
     )
 
     n_yx = norm(Y, X)
-    _record(
-        report,
+    yield (
         "N2_symmetry",
         n_xy != n_yx,
         lambda i: {
@@ -484,8 +545,7 @@ def check_axioms(
 
     n_scaled = norm(alpha[:, None] * X, Y)
     homog_err = np.abs(n_scaled - np.abs(alpha) * n_xy)
-    _record(
-        report,
+    yield (
         "N3_homogeneity",
         homog_err > tol * (1.0 + n_xy),
         lambda i: {
@@ -499,8 +559,7 @@ def check_axioms(
     n_sum = norm(X + Y, Z)
     n_xz = norm(X, Z)
     n_yz = norm(Y, Z)
-    _record(
-        report,
+    yield (
         "N4_triangle",
         n_sum > n_xz + n_yz + tol,
         lambda i: {
@@ -512,8 +571,7 @@ def check_axioms(
         },
     )
 
-    _record(report, "shift_invariance", *_shift_block(norm, X, Y, alpha, n_xy, tol))
-    return report
+    yield ("shift_invariance", *_shift_block(norm, X, Y, alpha, n_xy, tol))
 
 
 def _shift_block(
@@ -546,17 +604,19 @@ class IdentityReport(_Verdict):
 def shift_identity_check(
     space: SpaceSpec, samples: int, seed: int = 0, tol: float = 1e-9
 ) -> IdentityReport:
-    """Check ||x, y + alpha*x|| == ||x, y|| on constructed triples (x, y, alpha)."""
+    """Check ||x, y + alpha*x|| == ||x, y|| on constructed triples (x, y, alpha),
+    drawn and checked ``_SWEEP_ROWS`` rows at a time like :func:`check_axioms`."""
     _check_sweep(samples, tol)
-    rng = np.random.default_rng(seed)
-    d = element_dim(space)
-    X = rng.uniform(-1.0, 1.0, (samples, d))
-    Y = rng.uniform(-1.0, 1.0, (samples, d))
-    alpha = rng.uniform(-2.0, 2.0, samples)
-    base = two_norm_rows(space, X, Y)
-    bad, witness = _shift_block(partial(two_norm_rows, space), X, Y, alpha, base, tol)
+    row = (element_dim(space),)
+    norm = partial(two_norm_rows, space)
     report = IdentityReport(samples=samples, seed=seed, tol=tol)
-    report.violations = [{"index": i, **witness(i)} for i in np.flatnonzero(bad).tolist()]
+    for lo, (X, Y, alpha) in _uniform_blocks(
+        seed, samples, [(-1.0, 1.0, row), (-1.0, 1.0, row), (-2.0, 2.0, ())]
+    ):
+        bad, witness = _shift_block(norm, X, Y, alpha, norm(X, Y), tol)
+        report.violations += [
+            {"index": lo + i, **witness(i)} for i in np.flatnonzero(bad).tolist()
+        ]
     return report
 
 

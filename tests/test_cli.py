@@ -10,8 +10,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pairnorm import cli
-from pairnorm.jsonio import dumps
+from pairnorm import (
+    EuclideanGram,
+    SequencePrefix,
+    certificate,
+    certificate_soundness,
+    check_axioms,
+    cli,
+    convergence_profile,
+    norm_limit_check,
+    shift_identity_check,
+)
+from pairnorm.jsonio import dumps, space_from_dict, to_dict
 
 SPACE = {"kind": "euclidean_gram", "dim": 3}
 
@@ -490,3 +500,129 @@ def test_golden_report_bytes(tmp_path, capsys, name):
     assert cli.run([command, path, *flags]) == exit_code
     out = capsys.readouterr().out.encode("utf-8")
     assert (len(out), hashlib.sha256(out).hexdigest()) == (size, digest)
+
+
+# SHA-256 of dumps(to_dict(report)) for the streamed sweeps at the edges of
+# their row blocks (spaces._SWEEP_ROWS = 8192), recorded from whole-batch
+# sweeps: a blocked sweep must keep every byte.
+BLOCK_EDGE_SPACES = {"euclid": EuclideanGram(4), "white": space_from_dict(WHITE3)}
+BLOCK_EDGE_DIGESTS = {
+    ("check_axioms", "euclid", 2):
+        "0e15653c3598aeb7e6efe662284b3cfc0a130c31201e39067fb57cde6901bbdf",
+    ("check_axioms", "euclid", 8191):
+        "2b3debf4ec03122d851b05a046684058429f568c24b8907be751be56198cee59",
+    ("check_axioms", "euclid", 8192):
+        "23be532d4d0ea2a250028acff4000af7978a46fa8a958fe2e28676cd6146a45f",
+    ("check_axioms", "euclid", 8193):
+        "0da897a24786ba506a2b1b20efc589b680394d7cc774d82588a0486ad2639543",
+    ("check_axioms", "euclid", 16385):
+        "7b35d8d1b42512eafcf53fce7059311dbd977516755c3003943337e53adf4b0c",
+    ("check_axioms", "white", 2):
+        "d29fde6391b34750c722c2fe18468acee72acd2685cc47568bc95fd0b7bef2e8",
+    ("check_axioms", "white", 8191):
+        "c6d271731d1aef49fc28fac60a6d001d0b4b256440c5648e221399d3ad4b3712",
+    ("check_axioms", "white", 8192):
+        "5538478fc651be964ed720a52131b8e0ae27975fd4bbf840cb2a0cd938888d09",
+    ("check_axioms", "white", 8193):
+        "856795f23e72110d75b81b58c7cbf76f4a543dcb81018d35283fcd270316beeb",
+    ("check_axioms", "white", 16385):
+        "f53b3fdd1f05813ad8f5d6c5a00b4858cc346f07f860a4c9cb154a30501f351a",
+    ("shift_identity_check", "euclid", 2):
+        "f5d4a9df413b50da3c638dc8047549d7da5549a9717cb80530393951f604e40e",
+    ("shift_identity_check", "euclid", 8191):
+        "7f8d541fba5796fb03f9f6f969f962ba08e62b0a4467bac393a50c2b1fd5aebf",
+    ("shift_identity_check", "euclid", 8192):
+        "144a672a1b9c22440a8ceef891385c327da54046822d1dbc9ce94f3142931423",
+    ("shift_identity_check", "euclid", 8193):
+        "17282d03a613b9c235146b905eb0b6be00ef17005e9da874f18f028a1ddeb1e0",
+    ("shift_identity_check", "euclid", 16385):
+        "b95fd93cac50a311bd0f1675104eefcb438b535f54d99f59d5fd492d3a7b6e41",
+    ("shift_identity_check", "white", 2):
+        "7b7dc85add28666bfe1f858b228345c6792724f14d8cc2dfe705eaa12508fbd1",
+    ("shift_identity_check", "white", 8191):
+        "c7ad9ab506318ca6ee3149c2bc09137a562fe69b45a49ae79934b0960cb87b34",
+    ("shift_identity_check", "white", 8192):
+        "b11a11f9b4ef20ba9cb3dc273e241c0510fda8c87c7d3b11504273f41ba795a6",
+    ("shift_identity_check", "white", 8193):
+        "199ecb81517948e0e1703642499380acce183d023cda63535b14e07bf6228b90",
+    ("shift_identity_check", "white", 16385):
+        "540b3e9339b4e86ddf51c2a2323d23a69128499292058d76dae0be16df693de6",
+    ("norm_limit_check", "euclid", 2):
+        "7d790ae0c9e562a203c0484658ccf644af5c6da18d1ea229dc0e78b7e90045e0",
+    ("norm_limit_check", "euclid", 8191):
+        "29a4e6697796545b98e32dbbd3090fa7ece11d4be19176be3a98519c6fc17e98",
+    ("norm_limit_check", "euclid", 8192):
+        "5740c5e9f77bd1208c62630bf66ea35484826d9319b62b5822b44c574e5dbd21",
+    ("norm_limit_check", "euclid", 8193):
+        "46d2924701804060b83dd820917ab4182f3cd901fcccc76f27979e209ba7275a",
+    ("norm_limit_check", "euclid", 16385):
+        "dbb7b429185a12e5715ae4c1d5b5cf6b3bb1eba331d5b5587566483f626ee689",
+    ("norm_limit_check", "white", 2):
+        "1347edaf8675458b09b3799f0aa6585534b93b6c3e47b64e610a3563c5333cfd",
+    ("norm_limit_check", "white", 8191):
+        "5adc653083c49e9d9378c33d98815312661c930e85ed05f24f0c0b43c813628b",
+    ("norm_limit_check", "white", 8192):
+        "f4e5815338e79c7ea1f6536bd32636471ebae1ca33ca642cddb9ef88afbf4f54",
+    ("norm_limit_check", "white", 8193):
+        "6013b3dffa69e12629698967fab048a730355eda7b3e056ef3975fcb3a221f08",
+    ("norm_limit_check", "white", 16385):
+        "ffb2d14061919362fe46bb20aa17c4898537dc001f20416e37cfe2d2fd25dbd9",
+    ("convergence_profile", "euclid", 2):
+        "70431c409ac1d2399ba59eab37f75a40918bab6ba0e49af3712474749e2545c8",
+    ("convergence_profile", "euclid", 8191):
+        "416a9bef4cd7decab11e113b02f3c046d4e42777b310913ca0fe8e1c1f0dbb0d",
+    ("convergence_profile", "euclid", 8192):
+        "9b7cebd293eb510c24f8692a9314ace978d0a8fe1bbecb525ab40b7ec4ac38dc",
+    ("convergence_profile", "euclid", 8193):
+        "ffede855e3184b8831e2d0cca6e38dd2531f87844600c43ffcde46501a7f1b68",
+    ("convergence_profile", "euclid", 16385):
+        "ab4edd1222d45af10c3501966e7c2b0e40b341dee47dfc6fb757c4ff6c9f0cf4",
+    ("convergence_profile", "white", 2):
+        "e6afb700e2f61622c185b53836e7feea8aa5163452047ccf5e7b20615c6ef730",
+    ("convergence_profile", "white", 8191):
+        "463b70bc8039f46eac52c502713b32815627d1d70bd1deb91d7b5e12e83efc1c",
+    ("convergence_profile", "white", 8192):
+        "c9db2d798035051262626e50c22d67aed4c41596e2f4452ae54b8418c5ec154b",
+    ("convergence_profile", "white", 8193):
+        "20008e9f703bc1c5188b399717ce50338826ac0127b4501561349ca535005c96",
+    ("convergence_profile", "white", 16385):
+        "14dff2e0e31a58ecd4bfb62f1ded8366920fb6c17f8776fb2fc2149d7b108f18",
+    ("certificate_soundness", "euclid", 2):
+        "fe3a34349c23413d2b52f0d35d92405e68cbf975dca3c436884c252bfd2dc851",
+    ("certificate_soundness", "euclid", 8191):
+        "89a0a4043f0964c189ef66e3a21dd23550bf465bea2a09844490fde9ac21e945",
+    ("certificate_soundness", "euclid", 8192):
+        "0dabd865da88372f8e4f839a083b7c2d26f2317715cdbce9f8e314f87ed1305c",
+    ("certificate_soundness", "euclid", 8193):
+        "b707cf1b8caccce9194683e2e22282993d7660ebe799b710ca78bc44b51b327a",
+    ("certificate_soundness", "euclid", 16385):
+        "10d2661dedc700f9a09ba799cdd5484abdc5304b1123abd5d6a0ab2e548bfcb5",
+}
+
+
+def block_edge_report(sweep, name, n):
+    space = BLOCK_EDGE_SPACES[name]
+    if sweep == "check_axioms":
+        return check_axioms(space, n, seed=7, tol=1e-16)
+    if sweep == "shift_identity_check":
+        return shift_identity_check(space, n, seed=7, tol=1e-16)
+    rng = np.random.default_rng(11)
+    d = space.element_dim
+    if sweep == "certificate_soundness":
+        x0, basis, b = rng.uniform(-1.0, 1.0, (3, d))
+        cert = certificate(space, x0, [basis], b)
+        return certificate_soundness(space, cert, x0, [basis], b, samples=n, seed=7)
+    limit = rng.uniform(-1.0, 1.0, d)
+    steps = rng.uniform(-1.0, 1.0, (n, d)) / np.arange(1, n + 1)[:, None]
+    seq = SequencePrefix(space, limit + steps)
+    if sweep == "norm_limit_check":
+        return norm_limit_check(space, seq, limit, rng.uniform(-1.0, 1.0, d))
+    return convergence_profile(space, seq, limit, list(rng.uniform(-1.0, 1.0, (2, d))))
+
+
+@pytest.mark.parametrize(
+    "case", sorted(BLOCK_EDGE_DIGESTS), ids=lambda case: "-".join(map(str, case))
+)
+def test_block_edge_report_bytes(case):
+    text = dumps(to_dict(block_edge_report(*case)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BLOCK_EDGE_DIGESTS[case]

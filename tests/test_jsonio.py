@@ -62,6 +62,39 @@ def test_dumps_rejects_non_finite():
         dumps({"v": float("inf")})
 
 
+def test_dumps_inline_values_keep_their_bytes():
+    # floats, ints and strings written inline in a dict, a list of plain
+    # floats in one join: the same text as one value at a time
+    payload = {
+        "f": 0.1,
+        "i": -3,
+        "s": 'caf\u00e9 "q"\n',
+        "floats": [0.5, 1e-300, -2.0, 1 / 3],
+        "mixed": [1.5, 2, np.float64(0.25)],
+        "tuple": (0.125,),
+        "b": False,
+    }
+    assert dumps(payload) == (
+        "{\n"
+        '  "f": 0.10000000000000001,\n'
+        '  "i": -3,\n'
+        '  "s": "caf\\u00e9 \\"q\\"\\n",\n'
+        '  "floats": [0.5, 1e-300, -2, 0.33333333333333331],\n'
+        '  "mixed": [1.5, 2, 0.25],\n'
+        '  "tuple": [0.125],\n'
+        '  "b": false\n'
+        "}"
+    )
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_dumps_rejects_non_finite_inline(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps([0.5, bad])
+    with pytest.raises(ValueError, match="non-finite"):
+        dumps({"a": {"v": bad}})
+
+
 def test_dumps_handles_numpy_scalars():
     text = dumps({"i": np.int64(4), "f": np.float64(0.5), "b": np.bool_(True),
                   "arr": np.array([1.0, 2.0])})

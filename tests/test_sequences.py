@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import pairnorm.sequences as sequences
+import pairnorm.spaces as spaces
 from pairnorm import (
     EuclideanGram,
     SequencePrefix,
@@ -276,6 +277,25 @@ def test_white_probe_series_match_tiled_bits(n, degree):
     tiled = np.tile(probe, (n, 1))
 
     series = convergence_profile(space, seq, limit, [probe])[0].series
+    assert series == two_norm_rows(space, elements - limit, tiled).tolist()
+    lim_val = two_norm_rows(space, limit[None, :], probe[None, :])[0]
+    deviations = norm_limit_check(space, seq, limit, probe).deviations
+    assert deviations == np.abs(two_norm_rows(space, elements, tiled) - lim_val).tolist()
+
+
+@pytest.mark.parametrize("space", [EuclideanGram(4), WHITE3])
+@pytest.mark.parametrize("rows", [2, 3, 7])
+def test_streamed_sequence_checks_keep_bits(space, rows, monkeypatch):
+    # blocks of a few rows, a 1-row remainder folded in, against the
+    # unblocked series
+    rng = np.random.default_rng(rows)
+    elements = rng.uniform(-1, 1, (22, 4))
+    limit, probe, other = rng.uniform(-1, 1, (3, 4))
+    seq = SequencePrefix(space, elements)
+    tiled = np.tile(probe, (22, 1))
+    monkeypatch.setattr(spaces, "_SWEEP_ROWS", rows)
+
+    series = convergence_profile(space, seq, limit, [other, probe])[1].series
     assert series == two_norm_rows(space, elements - limit, tiled).tolist()
     lim_val = two_norm_rows(space, limit[None, :], probe[None, :])[0]
     deviations = norm_limit_check(space, seq, limit, probe).deviations

@@ -1,8 +1,14 @@
 """Norm evaluation and axiom sweep tests for both concrete spaces."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import pairnorm.spaces as spaces
 from pairnorm import (
     EuclideanGram,
     SimultaneousProblem,
@@ -19,7 +25,14 @@ from pairnorm import (
     two_norm_rows,
 )
 from pairnorm.jsonio import to_dict
-from pairnorm.spaces import _BLOCK_ROWS, _euclid_rows, as_direction
+from pairnorm.spaces import (
+    _BLOCK_ROWS,
+    _SWEEP_ROWS,
+    _euclid_rows,
+    _row_blocks,
+    _uniform_blocks,
+    as_direction,
+)
 
 GRAM = EuclideanGram(3)
 WHITE1 = WhitePolynomial(1, (0.0, 1.0))
@@ -358,3 +371,93 @@ def test_zero_direction_message_everywhere():
     with pytest.raises(ValueError, match=r"^y: direction must be nonzero$"):
         as_direction(WHITE2, zero, "y")
     assert as_direction(GRAM, [0, 0, -2.0]).tolist() == [0.0, 0.0, -2.0]
+
+
+# Streamed sweeps: row blocks and the seeded draws cut along them.
+
+
+@pytest.mark.parametrize(
+    "n, blocks",
+    [
+        (1, [(0, 1)]),
+        (2, [(0, 2)]),
+        (_SWEEP_ROWS, [(0, _SWEEP_ROWS)]),
+        (_SWEEP_ROWS + 1, [(0, _SWEEP_ROWS + 1)]),
+        (_SWEEP_ROWS + 2, [(0, _SWEEP_ROWS), (_SWEEP_ROWS, _SWEEP_ROWS + 2)]),
+        (2 * _SWEEP_ROWS + 1, [(0, _SWEEP_ROWS), (_SWEEP_ROWS, 2 * _SWEEP_ROWS + 1)]),
+    ],
+)
+def test_row_blocks_fold_a_one_row_remainder(n, blocks):
+    assert _row_blocks(n) == blocks
+
+
+def _whole_draws(seed, n, draws):
+    rng = np.random.default_rng(seed)
+    return [rng.uniform(low, high, (n, *shape)) for low, high, shape in draws]
+
+
+@pytest.mark.parametrize("d", [3, 7, 16])
+@pytest.mark.parametrize(
+    "n",
+    [1, 2, _SWEEP_ROWS - 1, _SWEEP_ROWS, _SWEEP_ROWS + 1, 2 * _SWEEP_ROWS + 1, np.int64(_SWEEP_ROWS + 3)],
+)
+def test_uniform_blocks_are_the_whole_draws(n, d):
+    # the blocks rest on numpy's Generator.uniform taking one 64-bit PCG64
+    # output per double, so that each draw can start on an advanced stream
+    draws = [(-1.0, 1.0, (d,))] * 3 + [(-2.0, 2.0, ()), (-1.0, 1.0, ())]
+    for seed in (0, 7, 2**40 + 3):
+        blocks = list(_uniform_blocks(seed, n, draws))
+        assert [lo for lo, _ in blocks] == [lo for lo, _ in _row_blocks(int(n))]
+        for k, whole in enumerate(_whole_draws(seed, int(n), draws)):
+            cut = np.concatenate([arrays[k] for _, arrays in blocks])
+            assert cut.tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("space", [GRAM, WHITE2])
+@pytest.mark.parametrize("rows", [2, 3, 64])
+def test_streamed_sweeps_keep_reports(space, rows, monkeypatch):
+    # blocks of a few rows against one block over the whole batch; tol=1e-16
+    # makes the violation lists long, so every block shifts its indices
+    whole = [
+        to_dict(check_axioms(space, 200, seed=4, tol=1e-16)),
+        to_dict(shift_identity_check(space, 200, seed=4, tol=1e-16)),
+    ]
+    monkeypatch.setattr(spaces, "_SWEEP_ROWS", rows)
+    assert len(_row_blocks(200)) > 1
+    assert [
+        to_dict(check_axioms(space, 200, seed=4, tol=1e-16)),
+        to_dict(shift_identity_check(space, 200, seed=4, tol=1e-16)),
+    ] == whole
+
+
+def test_norm_fn_is_called_per_block():
+    shapes = []
+
+    def norm(X, Y):
+        shapes.append((X.shape, Y.shape))
+        return two_norm_rows(GRAM, X, Y)
+
+    check_axioms(GRAM, _SWEEP_ROWS + 2, seed=0, norm_fn=norm)
+    assert {x for x, _ in shapes} == {(_SWEEP_ROWS, 3), (2, 3)}
+    assert len(shapes) == 2 * 8  # eight norm evaluations per block
+
+
+def test_large_axiom_sweep_memory_stays_flat():
+    # the 1e5 x 16 sweep streams its samples; drawn whole with every
+    # operand it held about 70 MB
+    pytest.importorskip("resource")
+    code = (
+        "import resource, pairnorm\n"
+        "before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "assert pairnorm.check_axioms(pairnorm.EuclideanGram(16), 100_000).passed\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before)\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env
+    )
+    unit = 1 if sys.platform == "darwin" else 1024  # ru_maxrss: bytes or KiB
+    grown_mb = int(out.stdout) * unit / 2**20
+    assert grown_mb < 30.0, f"peak RSS grew by {grown_mb:.1f} MB"
