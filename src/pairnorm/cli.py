@@ -186,7 +186,9 @@ def _cmd_sequence(args) -> int:
     space, seq, limit, probe_dirs = jsonio.sequence_from_dict(jsonio.load_json(args.file))
     payload: dict = {}
     exit_code = EXIT_OK
-    tail_from = args.tail_from if args.tail_from is not None else len(seq) // 2
+    # the second half, but at least the last two elements for a 2-element prefix
+    n = len(seq)
+    tail_from = args.tail_from if args.tail_from is not None else min(n // 2, n - 2)
     if seq.probe_y is not None and seq.probe_z is not None:
         payload["cauchy"] = sequences.cauchy_profile(space, seq, tail_from)
     if limit is not None and seq.probe_y is not None:

@@ -145,6 +145,8 @@ def load_json(path: str) -> Any:
         raise ValidationError(
             path, f"malformed JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         ) from exc
+    except RecursionError as exc:
+        raise ValidationError(path, "JSON nested too deeply to parse") from exc
 
 
 def _require(obj: dict, key: str, field: str) -> Any:

@@ -9,6 +9,15 @@ verifies the one inequality that must hold pointwise regardless:
 
 Cauchy behaviour is probed against two independent directions y and z, since
 a single seminorm is blind along its own direction line.
+
+A Cauchy supremum is a maximum over all n(n-1)/2 tail pairs, but few of them
+can attain it.  With r_i = p(x_i - x_last), the triangle inequality gives
+p(x_i - x_j) <= r_i + r_j, so once some evaluated pair value ``best`` is
+known, only the pairs with r_i + r_j + s_i + s_j >= best are evaluated.  The
+slack s_i = 1e-9 (r_i + L |x_i - x_last|_2 + best), with L a Lipschitz bound
+of p, is far above the rounding of any pair value or bound.  The maximum is
+then taken over pair values computed exactly as a sweep of all pairs
+computes them, so it is that sweep's maximum to the bit.
 """
 
 from __future__ import annotations
@@ -18,8 +27,8 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .spaces import SpaceSpec, as_element, as_elements, two_norm_rows
-from .spaces import _SV_RATIO_MIN, _row_blocks, _sv_ratio, _Verdict
+from .spaces import SpaceSpec, as_element, as_elements, seminorm_map, two_norm_rows
+from .spaces import _SQ_MAX, _SQ_MIN, _SV_RATIO_MIN, _row_blocks, _row_norms, _sv_ratio, _Verdict
 
 __all__ = [
     "SequencePrefix",
@@ -52,6 +61,10 @@ class SequencePrefix:
 # Pairs of tail elements per chunk of :func:`cauchy_profile`.
 _PAIR_CHUNK = 4096
 
+# Relative slack on the triangle bound of :func:`cauchy_profile`, as
+# ``approx._GRID_SLACK``: far above the rounding of any pair value.
+_PRUNE_SLACK = 1e-9
+
 
 def _against(space: SpaceSpec, X: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """The 2-norms ||x_i, probe|| of the rows of ``X``, with the bits of a
@@ -59,6 +72,57 @@ def _against(space: SpaceSpec, X: np.ndarray, probe: np.ndarray) -> np.ndarray:
     rather than one row: on ``WhitePolynomial`` a 1-row matmul rounds
     differently from the same row inside a many-row one."""
     return two_norm_rows(space, X, np.broadcast_to(probe, X.shape))
+
+
+def _pair_max(
+    space: SpaceSpec, tail: np.ndarray, probes: Sequence, i: np.ndarray, j: np.ndarray
+) -> np.ndarray:
+    """Per probe, max ||tail[i] - tail[j], probe|| over paired indices i < j,
+    ``_PAIR_CHUNK`` pairs at a time; -inf for no pairs.  ``_row_blocks``
+    never leaves a 1-row chunk, and a lone pair of a tail longer than two
+    goes in twice, so every value has the bits of a sweep of all the tail's
+    pairs."""
+    if i.size == 1 and tail.shape[0] > 2:
+        i, j = np.repeat(i, 2), np.repeat(j, 2)
+    sups = [np.full(len(probes), -np.inf)]
+    for lo, hi in _row_blocks(i.size, _PAIR_CHUNK):
+        diffs = tail[i[lo:hi]] - tail[j[lo:hi]]
+        sups.append([_against(space, diffs, p).max() for p in probes])
+    return np.max(sups, axis=0)
+
+
+def _bound_pairs(bound: np.ndarray, best: float) -> tuple[np.ndarray, np.ndarray]:
+    """Index pairs a < b with bound[a] + bound[b] >= best, enumerated from
+    the bounds in descending order: the partners of the p-th largest bound
+    are the positions q > p with desc[q] >= best - desc[p], a prefix."""
+    order = np.argsort(-bound, kind="stable")
+    desc = bound[order]
+    ends = np.searchsorted(-desc, desc - best, side="right")
+    counts = np.maximum(ends - np.arange(desc.size) - 1, 0)
+    first = np.repeat(np.arange(desc.size), counts)
+    second = first + 1 + np.arange(first.size) - np.repeat(np.cumsum(counts) - counts, counts)
+    a, b = order[first], order[second]
+    return np.minimum(a, b), np.maximum(a, b)
+
+
+def _tail_sup(space: SpaceSpec, tail: np.ndarray, probe: np.ndarray) -> float:
+    """max over i < j of ||x_i - x_j, probe|| on ``tail``, from the pairs a
+    triangle bound cannot rule out; see :func:`cauchy_profile`."""
+    d = tail[:-1] - tail[-1]
+    r = _against(space, d, probe)  # the pairs (i, last)
+    f = int(np.argmax(r))
+    rest = np.delete(np.arange(r.size), f)
+    through = _pair_max(space, tail, [probe], np.minimum(rest, f), np.maximum(rest, f))
+    best = np.max([r.max(), *through])
+    dist = _row_norms(d)
+    with np.errstate(over="ignore"):  # an overflow fails the range check
+        reach = _row_norms(seminorm_map(space, probe)).sum() * dist[rest]
+    if best >= _SQ_MIN and max(dist.max(), reach.max()) <= _SQ_MAX:
+        r = r[rest]
+        a, b = _bound_pairs(r + _PRUNE_SLACK * (r + reach + best), best)
+    else:  # near under- or overflow the slack covers no rounding: every pair
+        a, b = np.triu_indices(rest.size, 1)
+    return np.max([best, *_pair_max(space, tail, [probe], rest[a], rest[b])])
 
 
 @dataclass
@@ -73,9 +137,26 @@ def cauchy_profile(space: SpaceSpec, seq: SequencePrefix, tail_from: int) -> Cau
 
     ``tail_from`` counts skipped leading elements (0-based); the tail must
     keep at least two.  Nonincreasing in ``tail_from`` by construction.
-    The pairs are taken ``_PAIR_CHUNK`` at a time by ``spaces._row_blocks``,
-    which never leaves a 1-row last chunk, so every pair value has the bits
-    of one unchunked batch.
+
+    A tail whose pairs fit one ``_PAIR_CHUNK`` is swept whole.  A longer
+    one takes each supremum over the pairs a triangle bound cannot rule
+    out.  First r_i = p(x_i - x_last), the pair values through the last
+    element; then the pairs through the element farthest from x_last, which
+    raise the lower bound ``best``; then only the pairs with r_i + r_j +
+    s_i + s_j >= best, enumerated from r in descending order.  The slack is
+    s_i = ``_PRUNE_SLACK`` * (r_i + L |x_i - x_last|_2 + best), with L the
+    sum of the row norms of ``seminorm_map(probe)``: sigma_max <= Frobenius
+    <= that sum, so L bounds the Lipschitz constant of p against |.|_2 in
+    either norm order.  Where ``best`` is below ``_SQ_MIN``, or
+    |x_i - x_last|_2 or L |x_i - x_last|_2 above ``_SQ_MAX``, rounding may
+    no longer be relative or a difference may overflow, so every pair is
+    evaluated.
+
+    Each supremum has the bits of the full sweep: a pair value is x_i - x_j
+    with i < j through the same kernel, in batches of at least two rows (a
+    lone pair of a longer tail goes in twice, and a 2-element tail stays one
+    1-row batch, as in the full sweep), and a pair left out is at most
+    ``best``, which was evaluated.
     """
     n = len(seq)
     if not (0 <= tail_from < n - 1):
@@ -95,13 +176,13 @@ def cauchy_profile(space: SpaceSpec, seq: SequencePrefix, tail_from: int) -> Cau
         )
 
     tail = seq.elements[tail_from:]
-    i, j = np.triu_indices(tail.shape[0], 1)
-    chunks = _row_blocks(i.size, _PAIR_CHUNK)
-    sups = np.empty((len(chunks), 2))
-    for c, (lo, hi) in enumerate(chunks):
-        diffs = tail[i[lo:hi]] - tail[j[lo:hi]]
-        sups[c] = [_against(space, diffs, p).max() for p in (seq.probe_y, seq.probe_z)]
-    sup_y, sup_z = sups.max(axis=0).tolist()
+    probes = [seq.probe_y, seq.probe_z]
+    m = tail.shape[0]
+    if m * (m - 1) // 2 <= _PAIR_CHUNK:  # one chunk costs less than a pruned sweep
+        sups = _pair_max(space, tail, probes, *np.triu_indices(m, 1))
+    else:
+        sups = [_tail_sup(space, tail, p) for p in probes]
+    sup_y, sup_z = map(float, sups)
     return CauchyProfile(sup_y=sup_y, sup_z=sup_z, tail_from=tail_from)
 
 

@@ -287,11 +287,18 @@ def _gram_area(
     # A zero |x|^2 here comes from x = 0, so xy = 0 and the quotient is 0.
     cx = xy / np.maximum(xx, _TINY)
     cy = xy / np.maximum(yy, _TINY)
-    rx = Y - cx[:, None] * X
-    ry = X - cy[:, None] * Y
-    ax = np.sqrt(xx * np.einsum("ij,ij->i", rx, rx))
-    ay = np.sqrt(yy * np.einsum("ij,ij->i", ry, ry))
-    return np.sqrt(ax * ay)
+    # The residuals y - cx x and then x - cy y share one buffer, and the
+    # products and roots are taken in place: the same operations in the
+    # same order as with temporaries, so the same bits.
+    res = cx[:, None] * X
+    np.subtract(Y, res, out=res)
+    ax = np.einsum("ij,ij->i", res, res)
+    np.sqrt(np.multiply(xx, ax, out=ax), out=ax)
+    np.multiply(cy[:, None], Y, out=res)
+    np.subtract(X, res, out=res)
+    ay = np.einsum("ij,ij->i", res, res)
+    np.sqrt(np.multiply(yy, ay, out=ay), out=ay)
+    return np.sqrt(np.multiply(ax, ay, out=ax), out=ax)
 
 
 def _euclid_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:

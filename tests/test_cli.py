@@ -260,6 +260,17 @@ def test_sequence_tail_flag(tmp_path, capsys):
     assert out["cauchy"]["tail_from"] == 10
 
 
+def test_sequence_two_element_prefix(tmp_path, capsys):
+    # the default Cauchy tail keeps both elements; the convergence profile
+    # keeps its own default, the second half
+    payload = dict(SEQUENCE, elements=[[1.0, 0, 0], [0.5, 0, 0]])
+    path = write(tmp_path, "seq.json", payload)
+    code, out, _ = run_cli(capsys, "sequence", path)
+    assert code == 0
+    assert out["cauchy"] == {"sup_y": 0.5, "sup_z": 0.5, "tail_from": 0}
+    assert out["convergence"][0]["tail_max"] == 0.5
+
+
 def test_sequence_without_work(tmp_path, capsys):
     payload = {"space": SPACE, "elements": [[1, 0, 0], [0, 1, 0]]}
     path = write(tmp_path, "seq.json", payload)
@@ -287,6 +298,16 @@ def test_malformed_json_names_position(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "solve", str(path))
     assert code == 1
     assert "malformed JSON" in out["error"]["message"]
+
+
+def test_deeply_nested_json_is_a_validation_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    code, out, err = run_cli(capsys, "check-axioms", str(path))
+    assert code == 1
+    assert out["error"]["field"] == str(path)
+    assert "nested too deeply" in out["error"]["message"]
+    assert "Traceback" not in err
 
 
 def test_validation_error_names_field(tmp_path, capsys):

@@ -300,3 +300,121 @@ def test_streamed_sequence_checks_keep_bits(space, rows, monkeypatch):
     lim_val = two_norm_rows(space, limit[None, :], probe[None, :])[0]
     deviations = norm_limit_check(space, seq, limit, probe).deviations
     assert deviations == np.abs(two_norm_rows(space, elements, tiled) - lim_val).tolist()
+
+
+def prefix_rows(rng, shape, n, d, probe):
+    """n elements of R^d in one of the shapes the pruned Cauchy sweep must
+    keep to the bit."""
+    lim = rng.standard_normal(d)
+    if shape == "convergent":
+        return lim + rng.standard_normal((n, d)) / np.arange(1, n + 1)[:, None]
+    if shape == "random-walk":
+        return np.cumsum(rng.standard_normal((n, d)), axis=0)
+    if shape == "iid":
+        return rng.standard_normal((n, d))
+    if shape == "constant":
+        return np.tile(lim, (n, 1))
+    if shape == "collinear":  # every difference lies along the probe
+        return np.outer(rng.standard_normal(n), probe)
+    scale = 1e150 if shape == "scaled-up" else 1e-150
+    return rng.standard_normal((n, d)) * scale
+
+
+SHAPES = ["convergent", "random-walk", "iid", "constant", "collinear", "scaled-up", "scaled-down"]
+
+
+@pytest.mark.parametrize("space", [EuclideanGram(4), WHITE3])
+def test_cauchy_pruning_keeps_bits_property(space):
+    # small chunks make short tails take the pruned path, and the default
+    # sweeps them whole
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.given(
+        shape=st.sampled_from(SHAPES),
+        n=st.integers(2, 40),
+        tail=st.floats(0.0, 1.0),
+        chunk=st.sampled_from([2, 3, 7, sequences._PAIR_CHUNK]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(shape, n, tail, chunk, seed):
+        rng = np.random.default_rng(seed)
+        y, z = rng.standard_normal((2, 4))
+        seq = SequencePrefix(space, prefix_rows(rng, shape, n, 4, y), y, z)
+        tail_from = int(tail * (n - 2))
+        expected = unchunked_sups(space, seq, tail_from)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sequences, "_PAIR_CHUNK", chunk)
+            prof = cauchy_profile(space, seq, tail_from)
+        assert (prof.sup_y, prof.sup_z) == expected
+
+    check()
+
+
+def fixed_prefixes():
+    rng = np.random.default_rng(14)
+    y, z = [0, 1, 0, 0], [1, 0, 0.5, 0]
+    for n in (2, 3, 4):
+        yield f"n={n}", rng.uniform(-1, 1, (n, 4)), y, z
+    # element 5 repeats the outlier element 0, so the widest pair through 0
+    # ties to the bit with its twin through 5
+    rows = rng.uniform(-1, 1, (12, 4))
+    rows[[0, 5]] = [3.0, -2.0, 3.0, 2.0]
+    yield "tie", rows, y, z
+    for scale in (1e200, 1e-200):
+        yield f"elements {scale:.0e}", rng.uniform(-1, 1, (12, 4)) * scale, y, z
+    # p_y reaches about 1e200, beyond the range the slack is sized for
+    yield "probe 1e200", rng.uniform(-1, 1, (12, 4)), [0, 1e200, 0, 0], z
+
+
+@pytest.mark.parametrize("space", [EuclideanGram(4), WHITE3])
+@pytest.mark.parametrize("chunk", [2, 4096])
+@pytest.mark.parametrize("label, elements, y, z", list(fixed_prefixes()))
+def test_cauchy_pruning_fixed_cases(space, chunk, label, elements, y, z, monkeypatch):
+    seq = SequencePrefix(space, elements, y, z)
+    monkeypatch.setattr(sequences, "_PAIR_CHUNK", chunk)
+    for tail_from in range(len(elements) - 1):
+        prof = cauchy_profile(space, seq, tail_from)
+        assert (prof.sup_y, prof.sup_z) == unchunked_sups(space, seq, tail_from)
+
+
+def test_cauchy_pruning_evaluates_few_pairs(monkeypatch):
+    # x_j = lim + r_j / (j + 1), 448 x 16, at tail 0: the full sweep
+    # evaluates 2 x 100 128 pairs; the pruned sweep passes about 1 % of that
+    # many rows to the kernel and returns the same bits
+    space = EuclideanGram(16)
+    rng = np.random.default_rng(16)
+    lim = rng.standard_normal(16)
+    elements = lim + rng.standard_normal((448, 16)) / np.arange(1, 449)[:, None]
+    y, z = rng.standard_normal((2, 16))
+    seq = SequencePrefix(space, elements, y, z)
+    expected = unchunked_sups(space, seq, 0)
+    rows = []
+
+    def counted(space, X, Y):
+        rows.append(np.atleast_2d(X).shape[0])
+        return two_norm_rows(space, X, Y)
+
+    monkeypatch.setattr(sequences, "two_norm_rows", counted)
+    prof = cauchy_profile(space, seq, 0)
+    assert (prof.sup_y, prof.sup_z) == expected
+    assert sum(rows) < 0.05 * 2 * (448 * 447 // 2)
+
+
+@pytest.mark.parametrize("space", [EuclideanGram(4), WHITE3])
+def test_cauchy_overflowing_difference_is_not_pruned(space, monkeypatch):
+    # x_2 - x_5 overflows along e1, to which y = 1e-300 e1 is blind: r_2 =
+    # r_5 = 0, so the pair's triangle bound is its slack alone (0.6 here on
+    # EuclideanGram, 2.4 on WHITE3), below pair values through the last
+    # element (1.5, 9.3); yet the full sweep's value for the pair is NaN,
+    # so such a pair is evaluated, never pruned
+    elements = np.random.default_rng(17).uniform(-1e300, 1e300, (10, 4))
+    elements[:, 0] = 0.0
+    elements[[2, 5, 9]] = [[1e308, 0, 0, 0], [-1e308, 0, 0, 0], [0, 0, 0, 0]]
+    seq = SequencePrefix(space, elements, [1e-300, 0, 0, 0], [0, 1e-300, 0, 0])
+    monkeypatch.setattr(sequences, "_PAIR_CHUNK", 2)
+    with np.errstate(all="ignore"):
+        prof = cauchy_profile(space, seq, 0)
+        expected = unchunked_sups(space, seq, 0)
+    assert np.isnan(expected[0])
+    assert np.array_equal([prof.sup_y, prof.sup_z], expected, equal_nan=True)
