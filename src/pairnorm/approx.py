@@ -8,7 +8,7 @@ and a nonzero direction b, the central problem is
 The objective is a max of seminorms of affine arguments, hence convex and
 1-Lipschitz with respect to p_b, but generally nonsmooth.  Writing
 p_b(u) = |M_b u| (see :func:`~pairnorm.spaces.seminorm_map`), each norm
-order has one engine, chosen by the space's ``norm_ord`` alone:
+order has one engine, chosen in ``_engine`` by the space's ``norm_ord``:
 
 * ``EuclideanGram`` (l2 norm) is solved exactly.  Projecting out b and
   QR-factoring the projected basis turns the problem into a smallest
@@ -90,9 +90,9 @@ class SolverConfig:
       of the linear program, and the simplex must also have stopped with no
       negative reduced cost.
     * ``restarts``, ``seed`` and ``step0``: read by no engine, since each
-      solve runs once from the origin.  They are kept, and still validated,
-      so that problem files that set them still parse and reports keep
-      their ``solver`` block.
+      solve runs once from the origin, and set by no CLI flag.  They are
+      problem-file keys only, still parsed, validated and echoed in the
+      report's ``solver`` block, so that files that set them keep parsing.
     """
 
     max_iters: int = 20000
@@ -611,12 +611,14 @@ def _engine(
     basis: np.ndarray,
     b: np.ndarray,
     cfg: SolverConfig,
-) -> _EngineResult:
-    """One run of the exact solve engine of the space from c = 0: enclosing
-    ball for l2, simplex for l1."""
+    face: bool = False,
+) -> list[_EngineResult]:
+    """The optimal set by the space's exact engine from c = 0, the one place
+    an engine is chosen: the l2 optimum, unique by strict convexity, or the
+    l1 optimum and with ``face`` its face (see :func:`_linear_program`)."""
     if space.norm_ord == 2:
-        return _enclosing_ball(space, targets, basis, b, cfg)
-    return _linear_program(space, targets, basis, b, cfg)[0]
+        return [_enclosing_ball(space, targets, basis, b, cfg)]
+    return _linear_program(space, targets, basis, b, cfg, face)
 
 
 def solve(problem: SimultaneousProblem) -> SolveReport:
@@ -634,15 +636,10 @@ def solve(problem: SimultaneousProblem) -> SolveReport:
     _require_solvable(problem)
     res = _engine(
         problem.space, problem.targets, problem.g_basis.matrix, problem.b, problem.solver
-    )
+    )[0]
     g_star = problem.g_basis.combine(res.coeffs)
     run = RestartResult([0.0] * problem.g_basis.k, res.value, res.iterations, res.converged)
-    return SolveReport(
-        g_star=g_star,
-        value=objective(problem, g_star),
-        converged=res.converged,
-        per_restart=[run],
-    )
+    return SolveReport(g_star, objective(problem, g_star), res.converged, per_restart=[run])
 
 
 def oracle_solve(
@@ -761,7 +758,7 @@ def _fit(
     bv = as_direction(space, b)
     if not _independent_from_span(w_basis.matrix, bv):
         raise ValueError("b must be linearly independent from the subspace span")
-    res = _engine(space, targets, w_basis.matrix, bv, cfg if cfg is not None else SolverConfig())
+    res = _engine(space, targets, w_basis.matrix, bv, cfg or SolverConfig())[0]
     w = w_basis.combine(res.coeffs)
     return float(two_norm_rows(space, targets - w, bv[None, :]).max()), w, res.converged
 
@@ -984,12 +981,13 @@ _CLUSTER_TOL = 1e-5
 
 
 def uniqueness_probe(problem: SimultaneousProblem, restarts: int = 16) -> UniquenessReport:
-    """The exact optimal set; ``restarts`` is validated and echoed only.
+    """The exact optimal set from :func:`_engine`; ``restarts`` is read by
+    no engine and set by no CLI flag, only validated and echoed.
 
     On ``EuclideanGram`` the squared objective is strictly convex in x = R c
     (the parallelogram law in the second slot), and R is nonsingular since
-    the basis is independent and b lies outside its span.  So one solve
-    gives the unique minimizer: one optimizer, spread 0, its value.
+    the basis is independent and b lies outside its span.  So the engine
+    returns the unique minimizer alone: one optimizer, spread 0, its value.
 
     On ``WhitePolynomial`` flat optimal faces are possible.  ``values`` holds
     the optimum, then the face's 2k extreme points along the coefficient
@@ -1000,11 +998,11 @@ def uniqueness_probe(problem: SimultaneousProblem, restarts: int = 16) -> Unique
     if restarts < 2:
         raise ValueError(f"restarts must be >= 2, got {restarts}")
     _require_solvable(problem)
-    parts = (problem.space, problem.targets, problem.g_basis.matrix, problem.b, problem.solver)
-    if problem.space.norm_ord == 2:
-        value = _enclosing_ball(*parts).value
-        return UniquenessReport(1, 0.0, restarts, [value])
-    points = _linear_program(*parts, face=True)
+    points = _engine(
+        problem.space, problem.targets, problem.g_basis.matrix, problem.b, problem.solver, True
+    )
+    if len(points) == 1:
+        return UniquenessReport(1, 0.0, restarts, [points[0].value])
     elements = np.array([r.coeffs for r in points]) @ problem.g_basis.matrix
     i, j = np.triu_indices(len(points), 1)
     dists = two_norm_rows(problem.space, elements[i] - elements[j], problem.b[None, :])
@@ -1012,7 +1010,7 @@ def uniqueness_probe(problem: SimultaneousProblem, restarts: int = 16) -> Unique
     near[i, j] = dists < _CLUSTER_TOL
     return UniquenessReport(
         distinct_optimizers=int(np.sum(~near.any(axis=0))),
-        spread=float(dists.max()) if dists.size else 0.0,
+        spread=float(dists.max()),
         restarts=restarts,
         values=[r.value for r in points],
     )

@@ -45,16 +45,12 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("distance", help="distance from a point to a subspace")
     p.add_argument("file", help="problem JSON with exactly one target (the point)")
-    p.add_argument("--seed", type=int)
     p.add_argument("--tol", type=float)
-    p.add_argument("--restarts", type=int)
     p.add_argument("--max-iters", type=int)
 
     p = sub.add_parser("solve", help="best simultaneous approximation")
     p.add_argument("file", help="problem JSON")
-    p.add_argument("--seed", type=int)
     p.add_argument("--tol", type=float)
-    p.add_argument("--restarts", type=int)
     p.add_argument("--max-iters", type=int)
     p.add_argument("--oracle", action="store_true", help="also run the grid oracle")
     p.add_argument("--radius", type=float, default=2.0)
@@ -71,8 +67,6 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("uniqueness", help="exact optimal set: one point or a flat face")
     p.add_argument("file", help="problem JSON")
-    p.add_argument("--restarts", type=int, default=16)
-    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("sequence", help="finite-prefix convergence diagnostics")
     p.add_argument("file", help="sequence JSON")
@@ -104,13 +98,7 @@ def _cmd_check_axioms(args) -> int:
 
 
 def _overridden_solver(problem, args) -> approx.SolverConfig:
-    return jsonio.apply_solver_overrides(
-        problem.solver,
-        seed=getattr(args, "seed", None),
-        tol=getattr(args, "tol", None),
-        restarts=getattr(args, "restarts", None),
-        max_iters=getattr(args, "max_iters", None),
-    )
+    return jsonio.apply_solver_overrides(problem.solver, tol=args.tol, max_iters=args.max_iters)
 
 
 def _convergence_exit(converged: bool) -> int:
@@ -136,12 +124,7 @@ def _cmd_solve(args) -> int:
     payload = {"solver": problem.solver, **jsonio.to_dict(report)}
     if args.oracle:
         value, g = approx.oracle_solve(problem, args.radius, args.resolution)
-        payload["oracle"] = {
-            "value": value,
-            "g": g,
-            "radius": args.radius,
-            "resolution": args.resolution,
-        }
+        payload["oracle"] = dict(value=value, g=g, radius=args.radius, resolution=args.resolution)
     _emit(payload)
     return _convergence_exit(report.converged)
 
@@ -176,9 +159,7 @@ def _cmd_blend(args) -> int:
 
 def _cmd_uniqueness(args) -> int:
     problem, _ = jsonio.problem_from_dict(jsonio.load_json(args.file))
-    if args.seed is not None:
-        problem.solver = jsonio.apply_solver_overrides(problem.solver, seed=args.seed)
-    _emit(approx.uniqueness_probe(problem, restarts=args.restarts))
+    _emit(approx.uniqueness_probe(problem))
     return EXIT_OK
 
 

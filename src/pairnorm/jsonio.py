@@ -209,7 +209,11 @@ def space_from_dict(obj: Any, field: str = "space") -> SpaceSpec:
     )
 
 
-_SOLVER_KEYS = {"max_iters", "tol", "restarts", "seed", "step0"}
+# The solver keys of a problem file and their parsers, in validation order.
+_SOLVER_KEYS = {
+    **dict.fromkeys(("max_iters", "restarts", "seed"), _as_int),
+    **dict.fromkeys(("tol", "step0"), _as_number),
+}
 
 
 def solver_from_dict(obj: Any, field: str = "solver") -> SolverConfig:
@@ -220,13 +224,7 @@ def solver_from_dict(obj: Any, field: str = "solver") -> SolverConfig:
     for key in obj:
         if key not in _SOLVER_KEYS:
             raise ValidationError(f"{field}.{key}", "unknown solver option")
-    kwargs: dict[str, Any] = {}
-    for key in ("max_iters", "restarts", "seed"):
-        if key in obj:
-            kwargs[key] = _as_int(obj[key], f"{field}.{key}")
-    for key in ("tol", "step0"):
-        if key in obj:
-            kwargs[key] = _as_number(obj[key], f"{field}.{key}")
+    kwargs = {k: parse(obj[k], f"{field}.{k}") for k, parse in _SOLVER_KEYS.items() if k in obj}
     try:
         return SolverConfig(**kwargs)
     except ValueError as exc:
@@ -250,18 +248,15 @@ def problem_from_dict(obj: Any) -> tuple[SimultaneousProblem, Optional[dict]]:
     if blend is not None:
         if not isinstance(blend, dict):
             raise ValidationError("blend", "expected an object")
-        blend_parsed: dict[str, Any] = {
-            "g1": _as_vector(_require(blend, "g1", "blend"), "blend.g1"),
-            "g2": _as_vector(_require(blend, "g2", "blend"), "blend.g2"),
-        }
+        parsed = {k: _as_vector(_require(blend, k, "blend"), f"blend.{k}") for k in ("g1", "g2")}
         if "lambdas" in blend:
             lams = blend["lambdas"]
             if not isinstance(lams, list) or not lams:
                 raise ValidationError("blend.lambdas", "expected a nonempty list")
-            blend_parsed["lambdas"] = [
+            parsed["lambdas"] = [
                 _as_number(v, f"blend.lambdas[{i}]") for i, v in enumerate(lams)
             ]
-        blend = blend_parsed
+        blend = parsed
     return problem, blend
 
 
@@ -276,16 +271,11 @@ def sequence_from_dict(
     if probes is not None:
         if not isinstance(probes, dict):
             raise ValidationError("probes", "expected an object with y and z")
-        if "y" in probes:
-            probe_y = _as_vector(probes["y"], "probes.y")
-        if "z" in probes:
-            probe_z = _as_vector(probes["z"], "probes.z")
-    limit = None
-    if "limit" in obj:
-        limit = _as_vector(obj["limit"], "limit")
-    probe_dirs = None
-    if "probe_dirs" in obj:
-        probe_dirs = _as_vector_list(obj["probe_dirs"], "probe_dirs")
+        probe_y, probe_z = (
+            _as_vector(probes[k], f"probes.{k}") if k in probes else None for k in "yz"
+        )
+    limit = _as_vector(obj["limit"], "limit") if "limit" in obj else None
+    probe_dirs = _as_vector_list(obj["probe_dirs"], "probe_dirs") if "probe_dirs" in obj else None
     try:
         seq = SequencePrefix(space, elements, probe_y=probe_y, probe_z=probe_z)
     except ValueError as exc:

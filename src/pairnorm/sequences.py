@@ -66,6 +66,24 @@ _PAIR_CHUNK = 4096
 _PRUNE_SLACK = 1e-9
 
 
+def _difference(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X - Y; a difference that overflows raises FloatingPointError."""
+    with np.errstate(over="raise"):
+        return X - Y
+
+
+def _overflow(X: np.ndarray, y: np.ndarray, first: int, other: str) -> ValueError:
+    """The error for the first row of ``X``, element ``first`` on, whose
+    difference from ``y`` overflows, with its margin over the largest float."""
+    with np.errstate(over="ignore"):
+        n, c = divmod(int(np.argmax(~np.isfinite(X - y))), X.shape[1])
+    margin = abs(X[n, c] / 2 - y[c] / 2) / (np.finfo(float).max / 2)
+    return ValueError(
+        f"element {first + n} and {other} differ by {margin:.6g} times the largest "
+        f"float in coordinate {c}, so their difference overflows"
+    )
+
+
 def _against(space: SpaceSpec, X: np.ndarray, probe: np.ndarray) -> np.ndarray:
     """The 2-norms ||x_i, probe|| of the rows of ``X``, with the bits of a
     tiled probe but without the copy.  The probe goes in as a stride-0 view
@@ -86,7 +104,7 @@ def _pair_max(
         i, j = np.repeat(i, 2), np.repeat(j, 2)
     sups = [np.full(len(probes), -np.inf)]
     for lo, hi in _row_blocks(i.size, _PAIR_CHUNK):
-        diffs = tail[i[lo:hi]] - tail[j[lo:hi]]
+        diffs = _difference(tail[i[lo:hi]], tail[j[lo:hi]])
         sups.append([_against(space, diffs, p).max() for p in probes])
     return np.max(sups, axis=0)
 
@@ -108,7 +126,7 @@ def _bound_pairs(bound: np.ndarray, best: float) -> tuple[np.ndarray, np.ndarray
 def _tail_sup(space: SpaceSpec, tail: np.ndarray, probe: np.ndarray) -> float:
     """max over i < j of ||x_i - x_j, probe|| on ``tail``, from the pairs a
     triangle bound cannot rule out; see :func:`cauchy_profile`."""
-    d = tail[:-1] - tail[-1]
+    d = _difference(tail[:-1], tail[-1])
     r = _against(space, d, probe)  # the pairs (i, last)
     f = int(np.argmax(r))
     rest = np.delete(np.arange(r.size), f)
@@ -149,8 +167,8 @@ def cauchy_profile(space: SpaceSpec, seq: SequencePrefix, tail_from: int) -> Cau
     <= that sum, so L bounds the Lipschitz constant of p against |.|_2 in
     either norm order.  Where ``best`` is below ``_SQ_MIN``, or
     |x_i - x_last|_2 or L |x_i - x_last|_2 above ``_SQ_MAX``, rounding may
-    no longer be relative or a difference may overflow, so every pair is
-    evaluated.
+    no longer be relative, so every pair is evaluated.  Two tail elements
+    that differ by more than the largest float are a ValueError naming them.
 
     Each supremum has the bits of the full sweep: a pair value is x_i - x_j
     with i < j through the same kernel, in batches of at least two rows (a
@@ -178,10 +196,15 @@ def cauchy_profile(space: SpaceSpec, seq: SequencePrefix, tail_from: int) -> Cau
     tail = seq.elements[tail_from:]
     probes = [seq.probe_y, seq.probe_z]
     m = tail.shape[0]
-    if m * (m - 1) // 2 <= _PAIR_CHUNK:  # one chunk costs less than a pruned sweep
-        sups = _pair_max(space, tail, probes, *np.triu_indices(m, 1))
-    else:
-        sups = [_tail_sup(space, tail, p) for p in probes]
+    try:
+        if m * (m - 1) // 2 <= _PAIR_CHUNK:  # one chunk costs less than a pruned sweep
+            sups = _pair_max(space, tail, probes, *np.triu_indices(m, 1))
+        else:
+            sups = [_tail_sup(space, tail, p) for p in probes]
+    except FloatingPointError:  # an element too far from the least in the widest coordinate
+        c = np.argmax(tail.max(axis=0) / 2 - tail.min(axis=0) / 2)
+        j = tail_from + int(tail[:, c].argmin())
+        raise _overflow(tail, seq.elements[j], tail_from, f"element {j}") from None
     sup_y, sup_z = map(float, sups)
     return CauchyProfile(sup_y=sup_y, sup_z=sup_z, tail_from=tail_from)
 
@@ -218,10 +241,13 @@ def convergence_profile(
         raise ValueError(f"tail_from out of range: {start} of {n}")
     probes = [as_element(space, p, f"probe_dirs[{i}]") for i, p in enumerate(probe_dirs)]
     series = np.empty((len(probes), n))
-    for lo, hi in _row_blocks(n):
-        diffs = seq.elements[lo:hi] - lim
-        for s, pv in zip(series, probes):
-            s[lo:hi] = _against(space, diffs, pv)
+    try:
+        for lo, hi in _row_blocks(n):
+            diffs = _difference(seq.elements[lo:hi], lim)
+            for s, pv in zip(series, probes):
+                s[lo:hi] = _against(space, diffs, pv)
+    except FloatingPointError:
+        raise _overflow(seq.elements, lim, 0, "the limit") from None
     return [
         ProbeProfile(
             probe=pv.tolist(),
@@ -255,10 +281,13 @@ def norm_limit_check(space: SpaceSpec, seq: SequencePrefix, limit, y) -> NormLim
     lim = as_element(space, limit, "limit")
     yv = as_element(space, y, "y")
     series, bounds = np.empty((2, len(seq)))
-    for lo, hi in _row_blocks(len(seq)):
-        rows = seq.elements[lo:hi]
-        series[lo:hi] = _against(space, rows, yv)
-        bounds[lo:hi] = _against(space, rows - lim, yv)
+    try:
+        for lo, hi in _row_blocks(len(seq)):
+            rows = seq.elements[lo:hi]
+            bounds[lo:hi] = _against(space, _difference(rows, lim), yv)
+            series[lo:hi] = _against(space, rows, yv)
+    except FloatingPointError:
+        raise _overflow(seq.elements, lim, 0, "the limit") from None
     lim_val = float(two_norm_rows(space, lim[None, :], yv[None, :])[0])
     deviations = np.abs(series - lim_val)
     report = NormLimitReport(

@@ -30,7 +30,7 @@ SYMMETRIC_PROBLEM = {
     "targets": [[1, 0, 0], [-1, 0, 0]],
     "g_basis": [[1, 0, 0]],
     "b": [0, 0, 1],
-    "solver": {"seed": 0, "restarts": 4},
+    "solver": {"seed": 0, "restarts": 4, "step0": 0.5},
 }
 
 # a White problem whose restarts need more than five pivots
@@ -104,7 +104,8 @@ def test_solve_symmetric_example(tmp_path, capsys):
     assert max(abs(c) for c in out["g_star"]) <= 1e-5
     assert out["converged"] is True
     assert len(out["per_restart"]) == 1
-    assert out["solver"]["seed"] == 0
+    # file keys that no engine reads are still parsed, validated and echoed
+    assert (out["solver"]["seed"], out["solver"]["restarts"], out["solver"]["step0"]) == (0, 4, 0.5)
 
 
 def test_solve_missing_file(capsys):
@@ -114,12 +115,47 @@ def test_solve_missing_file(capsys):
 
 
 def test_solve_flag_overrides(tmp_path, capsys):
-    path = write(tmp_path, "problem.json", SYMMETRIC_PROBLEM)
-    code, out, _ = run_cli(capsys, "solve", path, "--restarts", "2", "--seed", "11")
+    payload = {**SYMMETRIC_PROBLEM, "solver": {**SYMMETRIC_PROBLEM["solver"], "tol": 1e-3}}
+    path = write(tmp_path, "problem.json", payload)
+    code, out, _ = run_cli(capsys, "solve", path, "--tol", "1e-8", "--max-iters", "7")
     assert code == 0
-    assert len(out["per_restart"]) == 1
-    assert out["solver"]["seed"] == 11
-    assert out["solver"]["restarts"] == 2
+    assert out["solver"] == {"max_iters": 7, "tol": 1e-8, "restarts": 4, "seed": 0, "step0": 0.5}
+
+
+# no engine reads a restart count or a seed, so no flag sets one
+RETIRED_FLAGS = [
+    (command, flag)
+    for command in ("distance", "solve", "uniqueness")
+    for flag in ("--restarts", "--seed")
+]
+
+
+@pytest.mark.parametrize("command, flag", RETIRED_FLAGS)
+def test_retired_solver_flags_are_usage_errors(tmp_path, capsys, command, flag):
+    path = write(tmp_path, "point.json", POINT_PROBLEM)
+    code, out, err = run_cli(capsys, command, path, flag, "3")
+    assert code == 1
+    assert out == {"error": {"message": f"unrecognized arguments: {flag} 3"}}
+    assert "Traceback" not in err
+
+
+def test_cli_option_set():
+    # every option of every subcommand: adding or removing one is a visible change
+    sub = next(a for a in cli._build_parser()._actions if a.dest == "command")
+    options = {
+        name: sorted(o for a in p._actions for o in a.option_strings if o not in ("-h", "--help"))
+        for name, p in sub.choices.items()
+    }
+    assert options == {
+        "check-axioms": ["--samples", "--seed", "--tol"],
+        "distance": ["--max-iters", "--tol"],
+        "solve": ["--max-iters", "--oracle", "--radius", "--resolution", "--tol"],
+        "certificate": ["--samples", "--seed"],
+        "blend": ["--tol"],
+        "uniqueness": [],
+        "sequence": ["--tail-from"],
+    }
+    assert sum(map(len, options.values())) == 14
 
 
 def test_solve_nonconvergence_exit(tmp_path, capsys):
@@ -237,10 +273,10 @@ def test_blend_mismatched_endpoints(tmp_path, capsys):
 
 def test_uniqueness_subcommand(tmp_path, capsys):
     path = write(tmp_path, "problem.json", SYMMETRIC_PROBLEM)
-    code, out, _ = run_cli(capsys, "uniqueness", path, "--restarts", "6")
+    code, out, _ = run_cli(capsys, "uniqueness", path)
     assert code == 0
     assert out["distinct_optimizers"] == 1
-    assert out["restarts"] == 6
+    assert out["restarts"] == 16
 
 
 def test_sequence_subcommand(tmp_path, capsys):
@@ -269,6 +305,25 @@ def test_sequence_two_element_prefix(tmp_path, capsys):
     assert code == 0
     assert out["cauchy"] == {"sup_y": 0.5, "sup_z": 0.5, "tail_from": 0}
     assert out["convergence"][0]["tail_max"] == 0.5
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({"probes": {"y": [0, 1, 0], "z": [0, 0, 1]}}, "element 0 and element 1 differ"),
+        ({"limit": [-1e308, 0, 0], "probe_dirs": [[0, 1, 0]]}, "element 0 and the limit differ"),
+    ],
+)
+def test_sequence_overflowing_difference_is_named(tmp_path, capsys, extra, message):
+    payload = {"space": SPACE, "elements": [[1e308, 0, 0], [-1e308, 0, 0]], **extra}
+    path = write(tmp_path, "seq.json", payload)
+    code, out, err = run_cli(capsys, "sequence", path, "--tail-from", "0")
+    assert code == 1
+    assert out["error"]["message"] == (
+        f"{message} by 1.11254 times the largest float in coordinate 0, "
+        "so their difference overflows"
+    )
+    assert "Traceback" not in err
 
 
 def test_sequence_without_work(tmp_path, capsys):

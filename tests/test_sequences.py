@@ -403,18 +403,45 @@ def test_cauchy_pruning_evaluates_few_pairs(monkeypatch):
 
 @pytest.mark.parametrize("space", [EuclideanGram(4), WHITE3])
 def test_cauchy_overflowing_difference_is_not_pruned(space, monkeypatch):
-    # x_2 - x_5 overflows along e1, to which y = 1e-300 e1 is blind: r_2 =
-    # r_5 = 0, so the pair's triangle bound is its slack alone (0.6 here on
-    # EuclideanGram, 2.4 on WHITE3), below pair values through the last
-    # element (1.5, 9.3); yet the full sweep's value for the pair is NaN,
-    # so such a pair is evaluated, never pruned
+    # x_2 - x_5 lies along e1, to which y = 1e-300 e1 is blind: r_2 = r_5 =
+    # 0, so only the slack of its triangle bound could keep the pair.  A
+    # spread above 2^500 evaluates every pair instead: with x_2, x_5 =
+    # +-1e307 the profile keeps the full sweep's bits, and with +-1e308 the
+    # difference overflows and is a named error, never a NaN
     elements = np.random.default_rng(17).uniform(-1e300, 1e300, (10, 4))
     elements[:, 0] = 0.0
-    elements[[2, 5, 9]] = [[1e308, 0, 0, 0], [-1e308, 0, 0, 0], [0, 0, 0, 0]]
-    seq = SequencePrefix(space, elements, [1e-300, 0, 0, 0], [0, 1e-300, 0, 0])
+    probes = [1e-300, 0, 0, 0], [0, 1e-300, 0, 0]
+    rows = []
+
+    def counted(space, X, Y):
+        rows.append(X.shape[0])
+        return two_norm_rows(space, X, Y)
+
     monkeypatch.setattr(sequences, "_PAIR_CHUNK", 2)
-    with np.errstate(all="ignore"):
-        prof = cauchy_profile(space, seq, 0)
-        expected = unchunked_sups(space, seq, 0)
-    assert np.isnan(expected[0])
-    assert np.array_equal([prof.sup_y, prof.sup_z], expected, equal_nan=True)
+    monkeypatch.setattr(sequences, "two_norm_rows", counted)
+    elements[[2, 5, 9]] = [[1e307, 0, 0, 0], [-1e307, 0, 0, 0], [0, 0, 0, 0]]
+    seq = SequencePrefix(space, elements, *probes)
+    prof = cauchy_profile(space, seq, 0)
+    assert sum(rows) >= 2 * 45  # no pair of the 10-element tail was pruned
+    assert (prof.sup_y, prof.sup_z) == unchunked_sups(space, seq, 0)
+
+    elements[[2, 5]] = [[1e308, 0, 0, 0], [-1e308, 0, 0, 0]]
+    seq = SequencePrefix(space, elements, *probes)
+    message = r"^element 2 and element 5 differ by 1\.11254 times the largest float in"
+    with pytest.raises(ValueError, match=message):
+        cauchy_profile(space, seq, 0)
+    monkeypatch.undo()  # the one-chunk sweep of all pairs
+    with pytest.raises(ValueError, match=message):
+        cauchy_profile(space, seq, 0)
+
+
+@pytest.mark.parametrize("space", [EuclideanGram(3), WhitePolynomial(2, (0.0, 0.3, 0.7, 1.0))])
+def test_limit_overflow_is_named(space):
+    # with a limit of -1e308, x_1 - limit overflows and is named; x_0 - limit
+    # does not
+    seq = SequencePrefix(space, [[1, 0, 0], [1e308, 0, 0], [1, 0, 0]], [0, 1, 0])
+    message = r"^element 1 and the limit differ by 1\.11254 times the largest float"
+    with pytest.raises(ValueError, match=message):
+        convergence_profile(space, seq, [-1e308, 0, 0], [[0, 1, 0]])
+    with pytest.raises(ValueError, match=message):
+        norm_limit_check(space, seq, [-1e308, 0, 0], [0, 1, 0])
