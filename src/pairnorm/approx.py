@@ -44,9 +44,12 @@ from .spaces import (
     _SV_RATIO_MIN,
     SpaceSpec,
     _check_sweep,
+    _range_scaled,
     _row_norms,
     _sv_ratio,
+    _times_pow2,
     _uniform_blocks,
+    _unit_rows,
     as_direction,
     as_element,
     as_elements,
@@ -194,15 +197,10 @@ def _independent_from_span(rows: np.ndarray, v: np.ndarray) -> bool:
     answer does not depend on how large the rows are, only on their
     directions, under the single relative tolerance ``_RANK_RTOL``.
     """
-    vn = float(_row_norms(v[None, :])[0])
-    if vn == 0.0:
+    if not v.any():
         return False
-    norms = _row_norms(rows)
-    keep = norms > 0.0
-    if not np.any(keep):
-        return True
-    unit = rows[keep] / norms[keep, None]
-    return _rank(np.vstack([unit, v / vn])) == _rank(unit) + 1
+    unit = _unit_rows(np.vstack([rows, v]))  # v, nonzero, is the last row
+    return unit.shape[0] == 1 or _rank(unit) == _rank(unit[:-1]) + 1
 
 
 class _Objective:
@@ -259,18 +257,12 @@ class SolveReport:
 
 @dataclass
 class _EngineResult:
+    """An optimal point; ``bound`` is its certified lower bound."""
     coeffs: np.ndarray
     value: float
+    bound: float
     iterations: int
     converged: bool
-
-
-def _pow2_peak(A: np.ndarray) -> float:
-    """The power of two just above the largest absolute entry of ``A`` (1
-    for a zero array).  Dividing by it is exact, so it rescales a problem
-    without changing the rounding of any normal-range result."""
-    peak = float(np.abs(A).max()) if A.size else 0.0
-    return math.ldexp(1.0, math.frexp(peak)[1]) if peak > 0.0 else 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -378,38 +370,29 @@ def _active_set(
 
 
 def _enclosing_ball(
-    space: SpaceSpec,
-    targets: np.ndarray,
-    basis: np.ndarray,
-    b: np.ndarray,
-    cfg: SolverConfig,
+    M: np.ndarray, targets: np.ndarray, basis: np.ndarray, cfg: SolverConfig
 ) -> _EngineResult:
     """Exact engine for ``EuclideanGram``: with M = |b| P (P projects out b),
     y_i = M f_i and the thin QR factorization M B^T = Q R, the residual
     p_b(f_i - B^T c)^2 equals |x - q_i|^2 + w_i at x = R c, where q_i = Q^T y_i
-    and w_i = |y_i - Q q_i|^2 is what no x can reach."""
-    M = seminorm_map(space, b)
+    and w_i = |y_i - Q q_i|^2 is what no x can reach.  The inputs come in
+    range (see :func:`_engine`), so every square is representable."""
     Y = targets @ M.T
-    scale = _pow2_peak(Y)
-    Y = Y / scale  # squares of tiny or huge targets stay representable
     Q, R = np.linalg.qr(M @ basis.T)
     q = Y @ Q
     resid = Y - q @ Q.T
     w = np.einsum("ij,ij->i", resid, resid)
-
     x, primal, dual, pivots = _active_set(q, w, cfg.max_iters)
-    value = float(np.sqrt(primal) * scale)
-    gap = value - np.sqrt(dual) * scale
-    coeffs = np.linalg.solve(R, x) * scale
-    return _EngineResult(coeffs, value, pivots, bool(gap <= cfg.tol * (1.0 + value)))
+    return _EngineResult(np.linalg.solve(R, x), math.sqrt(primal), math.sqrt(dual), pivots, True)
 
 
 # ---------------------------------------------------------------------------
 # WhitePolynomial: exact linear program, dense-tableau primal simplex
 
-# The tableau is scaled so that its entries are of order one.  Reduced costs
-# above -_LP_EPS count as nonnegative, pivot entries must exceed _LP_EPS, and
-# a step no longer than _LP_EPS is degenerate.
+# The tableau's columns are scaled so that their entries are of order one.
+# Reduced costs above -_LP_EPS count as nonnegative, pivot entries must
+# exceed _LP_EPS, and a step no longer than _LP_EPS times the largest
+# right-hand side entry is degenerate.
 _LP_EPS = 1e-11
 
 
@@ -480,12 +463,14 @@ def _simplex(
     basis: np.ndarray,
     cost: np.ndarray,
     max_pivots: int,
+    level: float,
     allowed: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, int, bool]:
     """Primal simplex for min cost . x subject to A x = rhs, x >= 0, from the
     tableau ``tab`` = B^-1 [A | rhs] of a feasible ``basis`` (one column
     index per row, updated in place), entering only the columns that the
-    mask ``allowed`` marks (every column when it is None).
+    mask ``allowed`` marks (every column when it is None); ``level`` is the
+    largest absolute entry of rhs.
 
     Each pivot enters the column of most negative reduced cost; when that
     step would be degenerate it enters the lowest-index candidate instead,
@@ -506,7 +491,7 @@ def _simplex(
         if pivots == max_pivots:
             return tab, pivots, False
         r = _pivot_row(tab, q, basis)
-        if r < 0 or tab[r, -1] <= _LP_EPS * tab[r, q]:
+        if r < 0 or tab[r, -1] <= _LP_EPS * level * tab[r, q]:
             q = int(np.argmax(cand < -_LP_EPS))
             r = _pivot_row(tab, q, basis)
             if r < 0:  # an unbounded ray: only rounding can produce one
@@ -519,10 +504,9 @@ def _simplex(
 
 
 def _linear_program(
-    space: SpaceSpec,
+    M: np.ndarray,
     targets: np.ndarray,
     basis: np.ndarray,
-    b: np.ndarray,
     cfg: SolverConfig,
     face: bool = False,
 ) -> list[_EngineResult]:
@@ -544,7 +528,6 @@ def _linear_program(
     pivots leave those reduced costs unchanged, so t stays optimal and the
     stage optimizes c_j over exactly the optimal face.
     """
-    M = seminorm_map(space, b)
     Y = targets @ M.T
     BM = basis @ M.T
     m, p = Y.shape
@@ -554,8 +537,8 @@ def _linear_program(
     col_scale = np.abs(BM).max(axis=1)
     A = _lp_matrix(BM / col_scale[:, None], m)
     t = 2 * k
-    y_scale = _pow2_peak(Y)
-    rhs = np.concatenate([Y.ravel() / y_scale, np.zeros(m)])
+    rhs = np.concatenate([Y.ravel(), np.zeros(m)])
+    level = float(np.abs(Y).max())
     neg = rhs[:mp] < 0.0
     worst = int(np.argmax(np.abs(Y).sum(axis=1)))
     basic = np.concatenate([t + 1 + np.arange(mp) + mp * neg, t + 1 + 2 * mp + np.arange(m)])
@@ -563,19 +546,18 @@ def _linear_program(
     tab = _start_tableau(A, rhs, np.where(neg, -1.0, 1.0), worst)
     cost = np.zeros(A.shape[1])
     cost[t] = 1.0
-    tab, pivots, optimal = _simplex(tab, basic, cost, cfg.max_iters)
+    tab, pivots, optimal = _simplex(tab, basic, cost, cfg.max_iters, level)
 
     def solution(cols: np.ndarray, iterations: int, converged: bool) -> _EngineResult:
         x = np.zeros(A.shape[1])
         x[cols] = np.linalg.solve(A[:, cols], rhs)
-        coeffs = (x[:k] - x[k:t]) * y_scale / col_scale
+        coeffs = (x[:k] - x[k:t]) / col_scale
         value = float(np.abs(Y - coeffs @ BM).sum(axis=1).max())
-        return _EngineResult(coeffs, value, iterations, converged)
+        return _EngineResult(coeffs, value, value, iterations, converged)
 
     best = solution(basic, pivots, optimal)
     pi = np.linalg.solve(A[:, basic].T, cost[basic])
-    dual = float(pi[:mp] @ Y.ravel())
-    best.converged = optimal and best.value - dual <= cfg.tol * (1.0 + best.value)
+    best.bound = float(pi[:mp] @ Y.ravel())
     out = [best]
     if face:
         zero = np.abs(tab[-1, :-1]) <= _LP_EPS  # columns that keep t optimal
@@ -584,7 +566,7 @@ def _linear_program(
                 cost = np.zeros(A.shape[1])
                 cost[j], cost[k + j] = sign, -sign
                 stage = basic.copy()
-                _, pivots, optimal = _simplex(tab[:-1], stage, cost, cfg.max_iters, zero)
+                _, pivots, optimal = _simplex(tab[:-1], stage, cost, cfg.max_iters, level, zero)
                 out.append(solution(stage, pivots, optimal))
     return out
 
@@ -615,10 +597,24 @@ def _engine(
 ) -> list[_EngineResult]:
     """The optimal set by the space's exact engine from c = 0, the one place
     an engine is chosen: the l2 optimum, unique by strict convexity, or the
-    l1 optimum and with ``face`` its face (see :func:`_linear_program`)."""
-    if space.norm_ord == 2:
-        return [_enclosing_ball(space, targets, basis, b, cfg)]
-    return _linear_program(space, targets, basis, b, cfg, face)
+    l1 optimum and with ``face`` its face (see :func:`_linear_program`).
+
+    By the range rule of ``spaces`` the engines see the targets over one
+    power of two 2^et, b over 2^eb and each basis vector over its own 2^eB;
+    the value is scaled back by 2^(et + eb), the coefficients by 2^(et - eB).
+    A run converges on a clean stop with a gap <= ``tol`` * (1 + value).
+    """
+    Xs, e, _ = _range_scaled(np.vstack([targets, basis, b]))  # the rule, once over every row
+    m = targets.shape[0]
+    et, eb, eB = (int(e[:m].max()), int(e[-1]), e[m:-1]) if np.ndim(e) else (0, 0, 0)
+    scaled = (seminorm_map(space, Xs[-1]), np.ldexp(targets, -et), Xs[m:-1], cfg)
+    results = [_enclosing_ball(*scaled)] if space.norm_ord == 2 else _linear_program(*scaled, face)
+    for r in results:
+        r.value = float(_times_pow2(r.value, et + eb, "the optimal value"))
+        r.bound = float(_times_pow2(r.bound, et + eb, "the optimal bound"))
+        r.coeffs = _times_pow2(r.coeffs, et - eB, "coefficient {i} of the optimum")
+        r.converged = r.converged and r.value - r.bound <= cfg.tol * (1.0 + r.value)
+    return results
 
 
 def solve(problem: SimultaneousProblem) -> SolveReport:
@@ -812,26 +808,30 @@ def certificate(space: SpaceSpec, x0, w_basis, b) -> Certificate:
     """Construct the dual certificate for ``distance_to_subspace``.
 
     Only implemented for ``EuclideanGram``, where the b-orthogonal projection
-    makes the residual explicit.  Requires the distance to be bounded away
-    from zero; an x0 inside the subspace (modulo the b line) has no
-    separating functional.
+    makes the residual explicit.  Requires the distance to exceed 1e-9 times
+    ||x0, b||; an x0 inside the subspace (modulo the b line) has no
+    separating functional.  x0 and b are brought in range by the range rule
+    of ``spaces``, so the certificate of 2^a x0 is that of x0 with h times
+    2^-a and delta times 2^a, to the bit.
     """
     _require_l2(space)
-    x0v = as_element(space, x0, "x0")
-    bv = as_element(space, b, "b")
+    (x0v,), ex, _ = _range_scaled(as_element(space, x0, "x0")[None, :])
+    (bv,), eb, _ = _range_scaled(as_element(space, b, "b")[None, :])
+    ex, ed = int(np.max(ex)), int(np.max(ex) + np.max(eb))  # of x0 and of delta
     delta, w_star = distance_to_subspace(space, x0v, w_basis, bv)
-    if delta <= 1e-9:
-        raise ValueError(
-            f"distance {delta:.3e} is too small; x0 lies in the subspace modulo b"
-        )
+    if delta <= 1e-9 * two_norm(space, x0v, bv):
+        too_small = f"distance {np.ldexp(delta, ed):.3e} is too small"
+        raise ValueError(f"{too_small}; x0 lies in the subspace modulo b")
     u = x0v - w_star
     r = u - bv * float(u @ bv) / float(bv @ bv)
     h = r / float(r @ x0v)
-    return Certificate(functional=h, delta=float(delta))
+    _times_pow2(1.0 / delta, -ed, "the operator norm 1/delta")  # must be a float
+    delta = float(_times_pow2(delta, ed, "the distance"))
+    return Certificate(_times_pow2(h, -ex, "entry {i} of the functional"), delta)
 
 
 # Sampled ratios may exceed 1/delta by this fraction; the ratio along the
-# residual must come within this absolute distance of 1/delta.
+# residual must come within this fraction of 1/delta.
 _RATIO_SLACK = 1e-6
 _ATTAIN_TOL = 1e-4
 
@@ -860,9 +860,10 @@ def certificate_soundness(
     """Sample |F(x, beta*b)| / ||x, beta*b|| and compare against 1/delta.
 
     The ratio must stay below (1/delta) * (1 + ``_RATIO_SLACK``) everywhere
-    and reach 1/delta within ``_ATTAIN_TOL`` along the residual direction.
-    The samples are drawn and evaluated ``spaces._SWEEP_ROWS`` rows at a
-    time, with the bits of one whole draw.
+    and come within ``_ATTAIN_TOL`` * (1/delta) of it along the residual.
+    Every test is relative (a sample counts when ||x, beta*b|| > 1e-12 |b|),
+    so rescaling x0 or b keeps the verdict.  The samples are drawn and
+    evaluated ``spaces._SWEEP_ROWS`` rows at a time, as one whole draw.
     """
     _require_l2(space)
     _check_sweep(samples)
@@ -870,15 +871,16 @@ def certificate_soundness(
     bv = as_element(space, b, "b")
     w_basis = _as_basis(space, w_basis)
     h = cert.functional
+    b_len, h_len = _row_norms(np.vstack([bv, h]))
 
     max_ratio, kept = 0.0, 0
-    for _, (X, beta) in _uniform_blocks(
-        seed, samples, [(-1.0, 1.0, (space.dim,)), (-1.0, 1.0, ())]
-    ):
+    draws = [(-1.0, 1.0, (space.dim,)), (-1.0, 1.0, ())]
+    for _, (X, beta) in _uniform_blocks(seed, samples, draws):
         numer = np.abs(beta * (X @ h))
         denom = two_norm_rows(space, X, beta[:, None] * bv[None, :])
-        ok = denom > 1e-12
-        max_ratio = float((numer[ok] / denom[ok]).max(initial=max_ratio))
+        ok = denom > 1e-12 * b_len
+        with np.errstate(over="ignore"):  # a ratio beyond the largest float fails
+            max_ratio = float((numer[ok] / denom[ok]).max(initial=max_ratio))
         kept += int(np.sum(ok))
 
     _, w_star = distance_to_subspace(space, x0v, w_basis, bv)
@@ -886,25 +888,16 @@ def certificate_soundness(
     attained = abs(float(h @ witness)) / two_norm(space, witness, bv)
 
     bound = 1.0 / cert.delta
-    h_on_basis = (
-        float(np.max(np.abs(w_basis.matrix @ h))) if w_basis.k else 0.0
-    )
+    h_on_basis = float(np.abs(w_basis.matrix @ h).max(initial=0.0))
     h_at_x0 = float(h @ x0v)
     passed = (
         max_ratio <= bound * (1.0 + _RATIO_SLACK)
-        and abs(attained - bound) <= _ATTAIN_TOL
-        and h_on_basis <= 1e-9
+        and abs(attained - bound) <= _ATTAIN_TOL * bound
+        and h_on_basis <= 1e-9 * h_len * _row_norms(w_basis.matrix).max(initial=0.0)
         and abs(h_at_x0 - 1.0) <= 1e-9
     )
     return CertificateSoundness(
-        delta=cert.delta,
-        bound=bound,
-        max_ratio=max_ratio,
-        attained_ratio=float(attained),
-        h_on_basis_max=h_on_basis,
-        h_at_x0=h_at_x0,
-        samples=kept,
-        passed=passed,
+        cert.delta, bound, max_ratio, float(attained), h_on_basis, h_at_x0, kept, passed
     )
 
 

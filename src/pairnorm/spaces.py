@@ -40,6 +40,11 @@ rows in blocks of ``_SWEEP_ROWS``: each block is drawn, or differenced, and
 evaluated on its own, so memory stays flat as the batch grows.  A seeded
 draw is cut into blocks on the PCG64 stream itself, so every block has the
 bits of the whole draw and each report the bytes of an unblocked sweep.
+
+Extreme scales have one rule, :func:`_range_scaled` (after Blue's scaled norm,
+ACM TOMS 4, 1978), for both kernels, the ``EuclideanGram`` map, the row norms,
+both solve engines and the certificate; a value beyond the largest float is a
+ValueError rather than inf.
 """
 
 from __future__ import annotations
@@ -90,29 +95,23 @@ class EuclideanGram:
     def element_dim(self) -> int:
         return self.dim
 
-    def pair_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Areas of paired rows, ``_BLOCK_ROWS`` rows at a time."""
+    def pair_rows(self, X: np.ndarray, Y: np.ndarray, xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
+        """Areas of paired rows with squared norms ``xx`` and ``yy``,
+        ``_BLOCK_ROWS`` rows at a time; a 1-row operand pairs with every row."""
         n = np.broadcast_shapes(X.shape[:1], Y.shape[:1])[0]
         out = np.empty(n)
         for lo in range(0, n, _BLOCK_ROWS):
             blk = slice(lo, lo + _BLOCK_ROWS)
-            out[blk] = _euclid_rows(
-                X[blk] if X.shape[0] > 1 else X, Y[blk] if Y.shape[0] > 1 else Y
-            )
+            out[blk] = _gram_area(*(A[blk] if A.shape[0] > 1 else A for A in (X, Y, xx, yy)))
         return out
 
     def seminorm_map(self, bv: np.ndarray) -> np.ndarray:
-        """M = |b| I - b b^T / |b| for a validated direction ``bv``."""
-        with np.errstate(over="ignore"):  # an overflow lands outside the range
-            sq = float(bv @ bv)
-        if _SQ_MIN <= sq <= _SQ_MAX:
-            nb = math.sqrt(sq)  # np.linalg.norm's formula: the map keeps its bits
-            return nb * np.eye(self.dim) - np.outer(bv, bv) / nb
-        # |b|^2 or b b^T would overflow or underflow: M = |b| (I - u u^T)
-        # with the unit vector u = b / |b|.
-        nb = float(_row_norms(bv[None, :])[0])
-        u = bv / nb
-        return nb * (np.eye(self.dim) - np.outer(u, u))
+        """M = |b| I - b b^T / |b| for a validated direction ``bv``, as
+        M(b) = 2^e M(b / 2^e) with 2^e from the range rule."""
+        (bs,), e, _ = _range_scaled(bv[None, :])
+        nb = math.sqrt(float(bs @ bs))  # np.linalg.norm's formula: the map keeps its bits
+        M = nb * np.eye(self.dim) - np.outer(bs, bs) / nb
+        return _times_pow2(M, e, "the seminorm map")
 
 
 @dataclass(frozen=True)
@@ -160,9 +159,9 @@ class WhitePolynomial:
         Vd[:, 1:] = V[:, :-1] * np.arange(1, d)
         return V, Vd
 
-    def pair_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    def pair_rows(self, X: np.ndarray, Y: np.ndarray, xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
         """sum_k |f(t_k) g'(t_k) - f'(t_k) g(t_k)| over paired rows, one
-        matmul over the whole batch."""
+        matmul over the whole batch; the squared norms ``xx``, ``yy`` are unused."""
         V, Vd = self.tables
         fv, fd = X @ V.T, X @ Vd.T
         gv, gd = Y @ V.T, Y @ Vd.T
@@ -230,32 +229,61 @@ def as_direction(space: SpaceSpec, b, name: str = "b") -> np.ndarray:
     return bv
 
 
-# Squared row norms outside [2^-500, 2^500] have underflowed or overflowed,
-# or may in a product of two; such rows are rescaled by their largest
-# absolute entry first.
+# The range rule: a row whose squared norm leaves [_SQ_MIN, _SQ_MAX] has
+# underflowed or overflowed, or may in a product of two.
 _SQ_MIN, _SQ_MAX = 2.0**-500, 2.0**500
 _TINY = np.nextafter(0.0, 1.0)
 
 
-def _peaks(X: np.ndarray) -> np.ndarray:
-    """Largest absolute entry of each row, 1 for zero rows."""
-    s = np.abs(X).max(axis=1)
-    s[s == 0.0] = 1.0
-    return s
+def _range_scaled(X: np.ndarray) -> tuple[np.ndarray, Union[int, np.ndarray], np.ndarray]:
+    """The one extreme-scale rule: (X / 2^e, e, the squared norms of X / 2^e).
+
+    Per row, e = 0 for a zero row or a squared norm in [_SQ_MIN, _SQ_MAX];
+    otherwise 2^e is the power of two at or below the row's largest absolute
+    entry.  Dividing by 2^e is exact.  When every row is in range, e is the
+    int 0, X comes back as it is, and the squares are the only work."""
+    R = X[:1] if X.shape[0] > 1 and X.strides[0] == 0 else X  # a stride-0 view: one row
+    sq = np.einsum("ij,ij->i", R, R)
+    if R is not X:
+        sq = sq.repeat(X.shape[0])
+    if not sq.size or (float(sq.min()) >= _SQ_MIN and float(sq.max()) <= _SQ_MAX):
+        return X, 0, sq
+    out = ((sq < _SQ_MIN) | (sq > _SQ_MAX)) & X.any(axis=1)
+    e = np.zeros(sq.shape, dtype=int)
+    e[out] = np.frexp(np.abs(X[out]).max(axis=1))[1] - 1
+    X = np.ldexp(X, -e[:, None])
+    sq[out] = np.einsum("ij,ij->i", X[out], X[out])
+    return X, e, sq
+
+
+def _times_pow2(v, e, what: str):
+    """v * 2^e, exact unless it underflows, and v itself when e is 0.  A
+    product beyond the largest float is a ValueError naming ``what``,
+    formatted with the flat index ``i`` of the first one, and its size."""
+    if not isinstance(e, np.ndarray) and e == 0:
+        return v
+    with np.errstate(over="ignore"):
+        out = np.ldexp(v, e)
+    if np.isfinite(out).all():
+        return out
+    i = int(np.argmax(np.isinf(out)))
+    v, e = np.broadcast_arrays(v, e)
+    size = math.log10(abs(v.flat[i])) + int(e.flat[i]) * math.log10(2.0)
+    raise ValueError(f"{what.format(i=i)} is 10^{size:.2f}, beyond the largest float (10^308.25)")
 
 
 def _row_norms(X: np.ndarray) -> np.ndarray:
-    """Euclidean norms of the rows of ``X``, free of overflow and underflow
-    in the squares."""
-    sq = np.einsum("ij,ij->i", X, X)
-    out = np.sqrt(sq)
-    if not sq.size or (sq.min() >= _SQ_MIN and sq.max() <= _SQ_MAX):
-        return out
-    bad = (sq < _SQ_MIN) | (sq > _SQ_MAX)
-    s = _peaks(X[bad])
-    Z = X[bad] / s[:, None]
-    out[bad] = s * np.sqrt(np.einsum("ij,ij->i", Z, Z))
-    return out
+    """Euclidean norms of the rows of ``X`` by the range rule; a norm beyond
+    the largest float is inf."""
+    _, e, sq = _range_scaled(X)
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(sq), e)
+
+
+def _unit_rows(X: np.ndarray) -> np.ndarray:
+    """The nonzero rows of ``X`` scaled to unit length by the range rule."""
+    Z, _, sq = _range_scaled(X[X.any(axis=1)])
+    return Z / np.sqrt(sq)[:, None]
 
 
 # Unit-length rows with sigma_min / sigma_max at or below this are dependent;
@@ -265,17 +293,15 @@ _SV_RATIO_MIN = 5e-7
 
 def _sv_ratio(X: np.ndarray) -> float:
     """sigma_min / sigma_max of the rows of ``X`` scaled to unit length by
-    :func:`_row_norms`; 0 when a row is zero or rows outnumber coordinates."""
-    norms = _row_norms(X)
-    if X.shape[0] > X.shape[1] or not norms.all():
+    :func:`_unit_rows`; 0 when a row is zero or rows outnumber coordinates."""
+    unit = _unit_rows(X)
+    if X.shape[0] > X.shape[1] or unit.shape[0] < X.shape[0]:
         return 0.0
-    s = np.linalg.svd(X / norms[:, None], compute_uv=False)
+    s = np.linalg.svd(unit, compute_uv=False)
     return float(s[-1] / s[0])
 
 
-def _gram_area(
-    X: np.ndarray, Y: np.ndarray, xx: np.ndarray, yy: np.ndarray
-) -> np.ndarray:
+def _gram_area(X: np.ndarray, Y: np.ndarray, xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
     """Parallelogram areas of paired rows, given their squared norms.
 
     The raw Gram determinant xx*yy - xy^2 cancels catastrophically on
@@ -299,34 +325,6 @@ def _gram_area(
     ay = np.einsum("ij,ij->i", res, res)
     np.sqrt(np.multiply(yy, ay, out=ay), out=ay)
     return np.sqrt(np.multiply(ax, ay, out=ax), out=ax)
-
-
-def _euclid_rows(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """``EuclideanGram`` areas of paired rows, rescaling rows whose squares
-    leave [_SQ_MIN, _SQ_MAX]; a 1-row operand pairs with every row."""
-    # |x|^2 and |y|^2 in one buffer, checked in two reductions
-    sq = np.empty((2, max(X.shape[0], Y.shape[0])))
-    np.einsum("ij,ij->i", X, X, out=sq[0])
-    np.einsum("ij,ij->i", Y, Y, out=sq[1])
-    if not sq.size or (sq.min() >= _SQ_MIN and sq.max() <= _SQ_MAX):
-        return _gram_area(X, Y, sq[0], sq[1])
-    if X.shape != Y.shape:
-        X, Y = np.broadcast_arrays(X, Y)
-    # Exact zero vectors need no rescaling: their area is 0 either way.
-    nonzero = np.stack([X.any(axis=1), Y.any(axis=1)])
-    bad = ((sq < _SQ_MIN) & nonzero | (sq > _SQ_MAX)).any(axis=0)
-    if not bad.any():
-        return _gram_area(X, Y, sq[0], sq[1])
-    # The area scales by |alpha| |beta| under x -> alpha x, y -> beta y.
-    ok = ~bad
-    sx, sy = _peaks(X[bad]), _peaks(Y[bad])
-    Xs, Ys = X[bad] / sx[:, None], Y[bad] / sy[:, None]
-    area = np.empty(bad.shape)
-    area[ok] = _gram_area(X[ok], Y[ok], sq[0, ok], sq[1, ok])
-    area[bad] = _gram_area(
-        Xs, Ys, np.einsum("ij,ij->i", Xs, Xs), np.einsum("ij,ij->i", Ys, Ys)
-    ) * (sx * sy)
-    return area
 
 
 # Rows per block of the EuclideanGram kernel.  It makes about ten temporaries
@@ -388,17 +386,23 @@ def two_norm_rows(space: SpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     No validation: callers check their rows once per batch (see
     :func:`as_elements`), and batch callers such as ``approx.objective``
     pass all their rows in one call.  A 1-row operand is paired with every
-    row of the other.  On ``EuclideanGram`` the rows are evaluated in blocks
-    of ``_BLOCK_ROWS``; each row's value depends on that row alone, so the
-    result has the same bits as one unblocked evaluation.
-    ``WhitePolynomial`` runs one matmul over the whole batch.  A 1-row
-    operand, or a 1-row part of a split batch, can round differently from the
-    same row inside a many-row matmul; a stride-0 view of one row (see
-    ``sequences``) keeps the bits of a tiled copy.
+    row of the other.
+
+    Both kernels follow the one range rule, :func:`_range_scaled`: by
+    bi-homogeneity, ||x, y|| = 2^(ex + ey) ||x / 2^ex, y / 2^ey||, so the
+    rows it scales are divided by their powers of two, ``pair_rows`` runs
+    once and the result is multiplied back (a ValueError beyond the largest
+    float).  Rows in range keep their bits, and ``EuclideanGram`` reuses the
+    rule's squares, walking its rows in blocks of ``_BLOCK_ROWS`` with the
+    bits of one unblocked evaluation.  ``WhitePolynomial`` runs one matmul
+    over the whole batch, scaled rows included: a 1-row operand, or a 1-row
+    part of a split batch, can round differently from the same row inside a
+    many-row matmul.  A stride-0 view of one row keeps a tiled copy's bits.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
-    return space.pair_rows(X, Y)
+    (X, ex, xx), (Y, ey, yy) = _range_scaled(X), _range_scaled(Y)
+    return _times_pow2(space.pair_rows(X, Y, xx, yy), ex + ey, "the 2-norm of row {i}")
 
 
 def two_norm(space: SpaceSpec, x, y) -> float:

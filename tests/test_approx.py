@@ -27,7 +27,7 @@ from pairnorm import (
     uniqueness_probe,
 )
 import pairnorm.approx as approx
-from pairnorm.approx import _linear_program, _Objective
+from pairnorm.approx import _engine, _Objective
 from pairnorm.jsonio import to_dict
 
 GRAM = EuclideanGram(3)
@@ -981,7 +981,7 @@ def test_white_face_extremes_match_lp(degree, k, m, seeds):
     for seed in seeds:
         prob = random_white_problem(degree, k, m, seed)
         expected = lp_face(prob)
-        points = _linear_program(
+        points = _engine(
             prob.space, prob.targets, prob.g_basis.matrix, prob.b, prob.solver, face=True
         )
         got = np.array([points[1 + 2 * j + r].coeffs[j] for j in range(k) for r in (0, 1)])
@@ -1046,3 +1046,92 @@ def test_basis_duplicates_and_zero_rows():
         SubspaceBasis(GRAM, [E1, E2, E3, [1, 1, 1]])
     with pytest.raises(ValueError, match="zero vector"):
         SubspaceBasis(GRAM, [E1, [0, 0, 0]])
+
+
+# ---------------------------------------------------------------- one range rule
+
+TOP_TARGETS = [[1e308, 0, 0, 0], [0, 1, 0, 0]]
+TOP_WHITE = WhitePolynomial(3, (0.0, 0.2, 0.4, 0.6, 0.8, 1.0))
+
+
+def test_euclid_engine_at_the_top_of_the_float_range():
+    # the old rescale of Y by its peak raised OverflowError on these targets
+    space, basis, b = EuclideanGram(4), [[0, 0, 1, 0]], [0, 0, 0, 1]
+    rep = solve(SimultaneousProblem(space, TOP_TARGETS, basis, b))
+    assert rep.converged and rep.value == pytest.approx(1e308, rel=1e-12)
+    assert np.all(rep.g_star == 0.0)
+    delta, w = distance_to_subspace(space, TOP_TARGETS[0], basis, b)
+    assert delta == pytest.approx(1e308, rel=1e-12) and np.all(w == 0.0)
+    assert uniqueness_probe(SimultaneousProblem(space, TOP_TARGETS, basis, b)).values == [rep.value]
+
+
+def test_white_engine_at_the_top_of_the_float_range():
+    # targets @ M^T overflowed, so the solve returned no optimum (an argmin
+    # of an empty sequence) and the distance a NaN; the true values exceed
+    # the largest float, which is now the named error
+    basis, b = [[0, 0, 1, 0]], [0, 0, 0, 1]
+    prob = SimultaneousProblem(TOP_WHITE, TOP_TARGETS, basis, b)
+    beyond = r"^the optimal value is 10\^308\.\d\d, beyond the largest float \(10\^308\.25\)$"
+    for call in (
+        lambda: solve(prob),
+        lambda: uniqueness_probe(prob),
+        lambda: distance_to_subspace(TOP_WHITE, TOP_TARGETS[0], basis, b),
+    ):
+        with pytest.raises(ValueError, match=beyond):
+            call()
+    # a tenth of that scale is finite, and the rule divides by a power of two
+    scaled = SimultaneousProblem(TOP_WHITE, np.array(TOP_TARGETS) * [[0.1], [1]], basis, b)
+    unit = SimultaneousProblem(TOP_WHITE, [[1, 0, 0, 0], [0, 1e-308, 0, 0]], basis, b)
+    assert solve(scaled).value == pytest.approx(1e307 * solve(unit).value, rel=1e-12)
+
+
+@pytest.mark.parametrize("space", [EuclideanGram(4), TOP_WHITE])
+@pytest.mark.parametrize("a", [-600, -300, 300, 600])
+def test_engines_scale_with_targets_and_b(space, a):
+    # value(2^a f, 2^-a/2 b) = 2^(a/2) value(f, b), and the optimum scales
+    # with the targets whatever the length of the basis vectors
+    rng = np.random.default_rng(abs(a))
+    targets, basis, b = rng.uniform(-1, 1, (2, 4)), rng.uniform(-1, 1, (1, 4)), rng.uniform(-1, 1, 4)
+    scaled = np.ldexp(targets, a), np.ldexp(basis, -(a // 4)), np.ldexp(b, -(a // 2))
+    unit = solve(SimultaneousProblem(space, targets, basis, b))
+    big = solve(SimultaneousProblem(space, *scaled))
+    assert big.converged == unit.converged
+    assert big.value == pytest.approx(math.ldexp(unit.value, a - a // 2), rel=1e-9)
+    assert np.allclose(np.ldexp(big.g_star, -a), unit.g_star, rtol=1e-9, atol=1e-9)
+
+
+@pytest.mark.parametrize("x0", [[1e155, 0, 0], [1e-160, 0, 0]])
+def test_certificate_at_extreme_x0(x0):
+    # r @ x0 overflowed to a zero functional (1e155), and the absolute
+    # cutoff refused a distance of 1.118e-160 as too small
+    basis, b = SubspaceBasis(GRAM, [E3]), [0, 1, 0.5]
+    cert = certificate(GRAM, x0, basis, b)
+    assert cert.delta == pytest.approx(1.25**0.5 * x0[0], rel=1e-12)
+    assert cert.functional[0] == pytest.approx(1.0 / x0[0], rel=1e-12)
+    assert certificate_soundness(GRAM, cert, x0, basis, b, samples=300).passed
+
+
+@pytest.mark.parametrize("a", [500, -500])
+def test_certificate_power_of_two_rescaling(a):
+    # the certificate of 2^a x0 is that of x0 with h times 2^-a and delta
+    # times 2^a, to the bit, and the soundness verdict does not move
+    rng = np.random.default_rng(8)
+    for x0 in [np.array([1e155, 0, 0]), np.array([3.0, 0.7, -1.1]), *rng.uniform(-1, 1, (6, 3))]:
+        basis, b = SubspaceBasis(GRAM, [rng.uniform(-1, 1, 3)]), rng.uniform(-1, 1, 3)
+        if distance_to_subspace(GRAM, x0, basis, b)[0] <= 1e-6:
+            continue
+        c1, c2 = certificate(GRAM, x0, basis, b), certificate(GRAM, np.ldexp(x0, a), basis, b)
+        assert np.array_equal(c2.functional, np.ldexp(c1.functional, -a))
+        assert c2.delta == math.ldexp(c1.delta, a)
+        s1 = certificate_soundness(GRAM, c1, x0, basis, b, samples=200)
+        s2 = certificate_soundness(GRAM, c2, np.ldexp(x0, a), basis, b, samples=200)
+        assert s1.passed and s2.passed
+        assert s2.max_ratio == math.ldexp(s1.max_ratio, -a)
+
+
+def test_certificate_relative_cutoff():
+    # x0 at 1e-12 of the subspace's reach modulo b, at any scale
+    basis = SubspaceBasis(GRAM, [E1])
+    for scale in (1.0, 1e-200, 1e200):
+        with pytest.raises(ValueError, match="is too small; x0 lies in the subspace modulo b"):
+            certificate(GRAM, [scale, 1e-12 * scale, 0], basis, E3)

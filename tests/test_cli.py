@@ -702,3 +702,73 @@ def block_edge_report(sweep, name, n):
 def test_block_edge_report_bytes(case):
     text = dumps(to_dict(block_edge_report(*case)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BLOCK_EDGE_DIGESTS[case]
+
+
+def test_white_sequence_pair_beyond_the_largest_float(tmp_path, capsys):
+    # each pair value is 4e308: the White kernel overflowed inside, printed
+    # RuntimeWarnings and failed to serialize inf; under this suite's
+    # RuntimeWarning filter a warning would raise here
+    payload = {
+        "space": {"kind": "white_polynomial", "degree": 2, "points": [0, 0.3, 0.7, 1]},
+        "elements": [[1e308, 0, 0], [-1e308, 0, 0], [0, 0, 0]],
+        "probes": {"y": [0, 1, 0], "z": [0, 0, 1]},
+    }
+    code, out, err = run_cli(capsys, "sequence", write(tmp_path, "seq.json", payload))
+    assert code == 1
+    assert out == {
+        "error": {
+            "message": "the 2-norm of row 0 is 10^308.60, beyond the largest float (10^308.25)"
+        }
+    }
+    assert "Warning" not in err and "Traceback" not in err
+
+
+# Every subcommand on both spaces with its elements at extreme scales: the
+# points alone (targets, blend endpoints, sequence elements and limit), or
+# every element (also the basis, b and the probes).  Each run is a report
+# or a named error, exit 0 to 3, with JSON on stdout.
+EXTREME_SPACES = {"euclid": {"kind": "euclidean_gram", "dim": 4}, "white": WHITE3}
+EXTREME_COMMANDS = [
+    "check-axioms", "distance", "solve", "certificate", "blend", "uniqueness", "sequence"
+]
+
+
+def extreme_payload(command, space, scale, every):
+    def scaled(rows, s=scale):
+        return [[s * v for v in row] for row in rows]
+
+    s = scale if every else 1.0
+    if command == "check-axioms":
+        return space
+    if command == "sequence":
+        elements = [[1.0 / n, 0.5 / n, 0.25, 0.0] for n in range(1, 9)]
+        return {
+            "space": space,
+            "elements": scaled(elements),
+            "probes": {"y": scaled([[0, 1, 0, 0]], s)[0], "z": scaled([[0, 0, 0, 1]], s)[0]},
+            "limit": [0.0, 0.0, 0.25 * scale, 0.0],
+            "probe_dirs": scaled([[0, 1, 0, 0], [1, 0, 0, 0]], s),
+        }
+    targets = [[1.0, 0.5, 0.0, 0.0], [-0.5, 1.0, 0.25, 0.0]]
+    b = scaled([[0.3, 0.0, 0.0, 1.0]], s)[0]
+    g1 = [0.0, 0.0, 0.25 * scale, 0.0]
+    return {
+        "space": space,
+        "targets": scaled(targets[:1] if command in ("distance", "certificate") else targets),
+        "g_basis": scaled([[0.0, 0.0, 1.0, 0.0]], s),
+        "b": b,
+        "blend": {"g1": g1, "g2": [g + v for g, v in zip(g1, b)]},
+    }
+
+
+@pytest.mark.parametrize("every", [False, True], ids=["points", "every"])
+@pytest.mark.parametrize("scale", [1e155, 1e-155, 1e200, 1e-200, 1e308])
+@pytest.mark.parametrize("command", EXTREME_COMMANDS)
+@pytest.mark.parametrize("space", sorted(EXTREME_SPACES))
+def test_extreme_scale_matrix(tmp_path, capsys, space, command, scale, every):
+    payload = extreme_payload(command, EXTREME_SPACES[space], scale, every)
+    flags = ["--samples", "200"] if command in ("check-axioms", "certificate") else []
+    code, out, err = run_cli(capsys, command, write(tmp_path, "in.json", payload), *flags)
+    assert code in (0, 1, 2, 3)
+    assert isinstance(out, dict) and ("error" in out) == (code == 1)
+    assert "Warning" not in err and "Traceback" not in err

@@ -211,8 +211,8 @@ def test_sequence_prefix_copies_rows():
 @pytest.mark.parametrize("space", [GRAM, WhitePolynomial(2, (0.0, 0.25, 0.75, 1.0))])
 @pytest.mark.parametrize("scale", [1e200, 1e-200])
 def test_cauchy_extreme_probe_scales(space, scale):
-    # the probes are normalized by _row_norms, which neither overflows nor
-    # underflows, before the independence check
+    # the probes are scaled to unit length by the range rule (_unit_rows),
+    # which neither overflows nor underflows, before the independence check
     elements = np.random.default_rng(4).uniform(-1, 1, (9, 3))
     unit = cauchy_profile(space, SequencePrefix(space, elements, Y, [1, 0, 0]), 0)
     seq = SequencePrefix(space, elements, [0, scale, 0], [scale, 0, 0])

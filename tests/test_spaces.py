@@ -28,7 +28,7 @@ from pairnorm.jsonio import to_dict
 from pairnorm.spaces import (
     _BLOCK_ROWS,
     _SWEEP_ROWS,
-    _euclid_rows,
+    _gram_area,
     _row_blocks,
     _uniform_blocks,
     as_direction,
@@ -287,9 +287,79 @@ def test_gram_extreme_scales():
     assert out == pytest.approx([1e-200, 2e-200, 0.0], rel=1e-12, abs=0)
 
 
+def test_white_equal_huge_pair_is_zero():
+    # the products f g' and f' g overflowed to inf - inf = NaN
+    assert two_norm(WHITE2, [1e200, 1e200, 0], [1e200, 1e200, 0]) == 0.0
+
+
+@pytest.mark.parametrize("space", [GRAM, WHITE2])
+def test_value_beyond_largest_float_is_named(space):
+    # the area 1e400 came out as inf
+    with pytest.raises(
+        ValueError, match=r"^the 2-norm of row 0 is 10\^400\.\d\d, beyond the largest float"
+    ):
+        two_norm(space, [1e200, 0, 0], [0, 1e200, 0])
+
+
+def pow2_normalized(v):
+    """v divided by the power of two at or below its largest absolute entry,
+    and that power's exponent (0 for a zero vector)."""
+    peak = np.abs(v).max()
+    p = int(np.frexp(peak)[1]) - 1 if peak > 0.0 else 0
+    return np.ldexp(v, -p), p
+
+
+@pytest.mark.parametrize(
+    "space", [GRAM, WHITE2, EuclideanGram(6), WhitePolynomial(5, np.linspace(0.0, 1.0, 10))]
+)
+def test_power_of_two_homogeneity_property(space):
+    # ||2^a x, 2^b y|| = 2^(a+b) ||x, y|| to the bit, or the named error
+    # when that is beyond the largest float.  The reference is taken on
+    # rows scaled to peak in [1, 2), so it rounds once.  Two preconditions:
+    # the scaled rows are exact (no coordinate underflows), and the pair is
+    # not near-dependent (value >= 2^-11 |x| |y|).  Nearer dependence, rows
+    # the rule leaves in range but with squares near 2^+-500 make a kernel
+    # intermediate subnormal, so those values lose low bits; dependent pairs
+    # are checked to give 0 instead.
+    # Subnormal coordinates are left out: they round in every product.
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    d = element_dim(space)
+    row = st.lists(st.floats(-1.0, 1.0, allow_subnormal=False), min_size=d, max_size=d)
+
+    @hypothesis.given(x=row, y=row, a=st.integers(-600, 600), b=st.integers(-600, 600))
+    def check(x, y, a, b):
+        (xn, px), (yn, py) = pow2_normalized(np.array(x)), pow2_normalized(np.array(y))
+        xs, ys = np.ldexp(xn, px + a), np.ldexp(yn, py + b)
+        hypothesis.assume(np.array_equal(np.ldexp(xs, -px - a), xn))
+        hypothesis.assume(np.array_equal(np.ldexp(ys, -py - b), yn))
+        if np.array_equal(np.ldexp(np.ldexp(xn, px + b), -px - b), xn):
+            assert two_norm(space, xs, np.ldexp(xn, px + b)) == 0.0
+        value = two_norm(space, xn, yn)
+        hypothesis.assume(value >= 2.0**-11 * np.linalg.norm(xn) * np.linalg.norm(yn))
+        with np.errstate(over="ignore"):
+            expected = np.ldexp(value, px + py + a + b)
+        if np.isinf(expected):
+            with pytest.raises(ValueError, match=r"^the 2-norm of row 0 is 10\^\d+\.\d\d, beyond"):
+                two_norm(space, xs, ys)
+        else:
+            assert two_norm(space, xs, ys) == expected
+
+    check()
+
+
 # The blocked EuclideanGram kernel against one unblocked call of its body.
 
 BLOCK_NS = [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1, 100_000]
+
+
+def one_kernel_call(space, X, Y):
+    """The kernel body over every row at once: one ``_gram_area`` call on
+    ``EuclideanGram``, the one-matmul ``pair_rows`` on ``WhitePolynomial``."""
+    xx, yy = (np.einsum("ij,ij->i", A, A) for A in (X, Y))
+    if space.norm_ord == 2:
+        return _gram_area(X, Y, xx, yy)
+    return space.pair_rows(X, Y, xx, yy)
 
 
 @pytest.mark.parametrize("d", [2, 8, 16])
@@ -299,15 +369,39 @@ def test_blocked_kernel_keeps_bits(n, d):
     X = rng.standard_normal((n, d))
     Y = rng.standard_normal((n, d))
     space = EuclideanGram(d)
-    assert np.array_equal(two_norm_rows(space, X, Y), _euclid_rows(X, Y))
+    assert np.array_equal(two_norm_rows(space, X, Y), one_kernel_call(space, X, Y))
     # one row against every row of the other operand, in either slot
     y = Y[:1]
-    assert np.array_equal(two_norm_rows(space, X, y), _euclid_rows(X, y))
-    assert np.array_equal(two_norm_rows(space, y, X), _euclid_rows(y, X))
+    assert np.array_equal(two_norm_rows(space, X, y), one_kernel_call(space, X, y))
+    assert np.array_equal(two_norm_rows(space, y, X), one_kernel_call(space, y, X))
 
 
-@pytest.mark.parametrize("d", [2, 8, 16])
-def test_blocked_kernel_rescaled_rows_at_block_edges(d):
+def pow2_exponents(X):
+    """The range rule, restated: 0 for a zero row or a squared norm in
+    [2^-500, 2^500], else the exponent of the power of two at or below the
+    row's largest absolute entry."""
+    sq = np.einsum("ij,ij->i", X, X)
+    peak = np.abs(X).max(axis=1)
+    scaled = ((sq < 2.0**-500) | (sq > 2.0**500)) & (peak > 0.0)
+    return np.where(scaled, np.frexp(peak)[1] - 1, 0)
+
+
+def scaled_reference(space, X, Y):
+    """One kernel call on the rows divided by their powers of two, times
+    the powers: ||x, y|| = 2^(ex + ey) ||x / 2^ex, y / 2^ey||."""
+    ex, ey = pow2_exponents(X), pow2_exponents(Y)
+    out = one_kernel_call(space, np.ldexp(X, -ex[:, None]), np.ldexp(Y, -ey[:, None]))
+    return np.ldexp(out, ex + ey)
+
+
+@pytest.mark.parametrize(
+    "space",
+    [EuclideanGram(2), EuclideanGram(8), EuclideanGram(16), WHITE1,
+     WhitePolynomial(3, np.linspace(0.0, 1.0, 6)), WhitePolynomial(7, np.linspace(0.0, 1.0, 14))],
+    ids=lambda space: ("" if space.norm_ord == 2 else "white-") + str(element_dim(space)),
+)
+def test_blocked_kernel_rescaled_rows_at_block_edges(space):
+    d = element_dim(space)
     n = 2 * _BLOCK_ROWS + 3
     rng = np.random.default_rng(d)
     X = rng.standard_normal((n, d))
@@ -320,9 +414,8 @@ def test_blocked_kernel_rescaled_rows_at_block_edges(d):
         X[edge + 1] *= 1e200
         Y[edge + 1] *= 1e-200
         Y[edge + 2] = 0.0
-    space = EuclideanGram(d)
     out = two_norm_rows(space, X, Y)
-    assert np.array_equal(out, _euclid_rows(X, Y))
+    assert np.array_equal(out, scaled_reference(space, X, Y))
     assert np.all(np.isfinite(out))
     edge = _BLOCK_ROWS
     assert out[edge] == 0.0 and out[edge + 2] == 0.0
@@ -330,10 +423,19 @@ def test_blocked_kernel_rescaled_rows_at_block_edges(d):
         ref = two_norm(space, X[i] / np.abs(X[i]).max(), Y[i] / np.abs(Y[i]).max())
         scale = np.abs(X[i]).max() * np.abs(Y[i]).max()
         assert out[i] == pytest.approx(ref * scale, rel=1e-12)
-    # a zero, an ordinary and a tiny broadcast row (a huge one would make
-    # areas with the huge rows of X overflow)
+    # the rows the rule leaves alone keep the bits of an unscaled batch,
+    # whose scaled rows overflow or underflow
+    plain = np.ones(n, dtype=bool)
+    plain[[edge + k for edge in (_BLOCK_ROWS, 2 * _BLOCK_ROWS) for k in (-2, -1, 1)]] = False
+    with np.errstate(all="ignore"):
+        unscaled = one_kernel_call(space, X, Y)
+    assert np.array_equal(out[plain], unscaled[plain])
+    # a zero, an ordinary and a tiny broadcast row; with a huge one the
+    # areas with the huge rows of X exceed the largest float
     for y in (np.zeros((1, d)), Y[:1], Y[edge + 1 : edge + 2]):
-        assert np.array_equal(two_norm_rows(space, X, y), _euclid_rows(X, y))
+        assert np.array_equal(two_norm_rows(space, X, y), scaled_reference(space, X, y))
+    with pytest.raises(ValueError, match=r"^the 2-norm of row \d+ is 10\^\d+\.\d\d, beyond"):
+        two_norm_rows(space, X, Y[edge - 1 : edge])
 
 
 def test_seminorm_map_keeps_bits_in_range():
