@@ -375,8 +375,9 @@ def _enclosing_ball(
     """Exact engine for ``EuclideanGram``: with M = |b| P (P projects out b),
     y_i = M f_i and the thin QR factorization M B^T = Q R, the residual
     p_b(f_i - B^T c)^2 equals |x - q_i|^2 + w_i at x = R c, where q_i = Q^T y_i
-    and w_i = |y_i - Q q_i|^2 is what no x can reach.  The inputs come in
-    range (see :func:`_engine`), so every square is representable."""
+    and w_i = |y_i - Q q_i|^2 is what no x can reach.  M comes scaled so
+    that the y_i are of order one (see :func:`_engine`), so every square is
+    representable."""
     Y = targets @ M.T
     Q, R = np.linalg.qr(M @ basis.T)
     q = Y @ Q
@@ -389,10 +390,9 @@ def _enclosing_ball(
 # ---------------------------------------------------------------------------
 # WhitePolynomial: exact linear program, dense-tableau primal simplex
 
-# The tableau's columns are scaled so that their entries are of order one.
-# Reduced costs above -_LP_EPS count as nonnegative, pivot entries must
-# exceed _LP_EPS, and a step no longer than _LP_EPS times the largest
-# right-hand side entry is degenerate.
+# The tableau is scaled so that its entries are of order one.  Reduced costs
+# above -_LP_EPS count as nonnegative, pivot entries must exceed _LP_EPS, and
+# a step no longer than _LP_EPS is degenerate.
 _LP_EPS = 1e-11
 
 
@@ -463,14 +463,12 @@ def _simplex(
     basis: np.ndarray,
     cost: np.ndarray,
     max_pivots: int,
-    level: float,
     allowed: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, int, bool]:
     """Primal simplex for min cost . x subject to A x = rhs, x >= 0, from the
     tableau ``tab`` = B^-1 [A | rhs] of a feasible ``basis`` (one column
     index per row, updated in place), entering only the columns that the
-    mask ``allowed`` marks (every column when it is None); ``level`` is the
-    largest absolute entry of rhs.
+    mask ``allowed`` marks (every column when it is None).
 
     Each pivot enters the column of most negative reduced cost; when that
     step would be degenerate it enters the lowest-index candidate instead,
@@ -491,7 +489,7 @@ def _simplex(
         if pivots == max_pivots:
             return tab, pivots, False
         r = _pivot_row(tab, q, basis)
-        if r < 0 or tab[r, -1] <= _LP_EPS * level * tab[r, q]:
+        if r < 0 or tab[r, -1] <= _LP_EPS * tab[r, q]:
             q = int(np.argmax(cand < -_LP_EPS))
             r = _pivot_row(tab, q, basis)
             if r < 0:  # an unbounded ray: only rounding can produce one
@@ -510,8 +508,9 @@ def _linear_program(
     cfg: SolverConfig,
     face: bool = False,
 ) -> list[_EngineResult]:
-    """Exact engine for ``WhitePolynomial``: with Y = targets M^T and BM =
-    basis M^T, minimize t subject to |Y_i - c BM|_1 <= t for every target.
+    """Exact engine for ``WhitePolynomial``: with Y = targets M^T, of order
+    one by the scale of M (see :func:`_engine`), and BM = basis M^T,
+    minimize t subject to |Y_i - c BM|_1 <= t for every target.
 
     It writes c = delta+ - delta- and starts the simplex at c = 0 from a
     feasible basis, so no phase 1 is needed: P_ij or N_ij by the sign of
@@ -538,7 +537,6 @@ def _linear_program(
     A = _lp_matrix(BM / col_scale[:, None], m)
     t = 2 * k
     rhs = np.concatenate([Y.ravel(), np.zeros(m)])
-    level = float(np.abs(Y).max())
     neg = rhs[:mp] < 0.0
     worst = int(np.argmax(np.abs(Y).sum(axis=1)))
     basic = np.concatenate([t + 1 + np.arange(mp) + mp * neg, t + 1 + 2 * mp + np.arange(m)])
@@ -546,7 +544,7 @@ def _linear_program(
     tab = _start_tableau(A, rhs, np.where(neg, -1.0, 1.0), worst)
     cost = np.zeros(A.shape[1])
     cost[t] = 1.0
-    tab, pivots, optimal = _simplex(tab, basic, cost, cfg.max_iters, level)
+    tab, pivots, optimal = _simplex(tab, basic, cost, cfg.max_iters)
 
     def solution(cols: np.ndarray, iterations: int, converged: bool) -> _EngineResult:
         x = np.zeros(A.shape[1])
@@ -566,7 +564,7 @@ def _linear_program(
                 cost = np.zeros(A.shape[1])
                 cost[j], cost[k + j] = sign, -sign
                 stage = basic.copy()
-                _, pivots, optimal = _simplex(tab[:-1], stage, cost, cfg.max_iters, level, zero)
+                _, pivots, optimal = _simplex(tab[:-1], stage, cost, cfg.max_iters, zero)
                 out.append(solution(stage, pivots, optimal))
     return out
 
@@ -599,19 +597,29 @@ def _engine(
     an engine is chosen: the l2 optimum, unique by strict convexity, or the
     l1 optimum and with ``face`` its face (see :func:`_linear_program`).
 
-    By the range rule of ``spaces`` the engines see the targets over one
-    power of two 2^et, b over 2^eb and each basis vector over its own 2^eB;
-    the value is scaled back by 2^(et + eb), the coefficients by 2^(et - eB).
-    A run converges on a clean stop with a gap <= ``tol`` * (1 + value).
+    By the range rule of ``spaces``, b comes over 2^eb, each basis vector
+    over its own 2^eB and the targets over one 2^et, the largest power the
+    rule gives a nonzero target.  The engines then see the map M over the
+    power of two 2^ey just above the peak of Y = targets M^T, so Y is of
+    order one, as the tableau's tolerances and the ball's squares need,
+    and the coefficients do not change.  The value is scaled back by
+    2^(et + eb + ey), the coefficients by 2^(et - eB).  A run converges on
+    a clean stop with a gap <= ``tol`` * (1 + value).
     """
     Xs, e, _ = _range_scaled(np.vstack([targets, basis, b]))  # the rule, once over every row
     m = targets.shape[0]
-    et, eb, eB = (int(e[:m].max()), int(e[-1]), e[m:-1]) if np.ndim(e) else (0, 0, 0)
-    scaled = (seminorm_map(space, Xs[-1]), np.ldexp(targets, -et), Xs[m:-1], cfg)
+    et, eb, eB = 0, 0, 0
+    if isinstance(e, np.ndarray):  # a zero target, e = 0, must not hide the power of tiny ones
+        nonzero = e[:m][targets.any(axis=1)]
+        et, eb, eB = int(nonzero.max()) if nonzero.size else 0, int(e[-1]), e[m:-1]
+    ts = np.ldexp(targets, -et)
+    M = seminorm_map(space, Xs[-1])
+    ey = math.frexp(float(np.abs(ts @ M.T).max()))[1]
+    scaled = (np.ldexp(M, -ey), ts, Xs[m:-1], cfg)
     results = [_enclosing_ball(*scaled)] if space.norm_ord == 2 else _linear_program(*scaled, face)
-    for r in results:
-        r.value = float(_times_pow2(r.value, et + eb, "the optimal value"))
-        r.bound = float(_times_pow2(r.bound, et + eb, "the optimal bound"))
+    for r in results:  # 2^ey cannot overflow the value or its bound; the rule's powers can
+        r.value = float(_times_pow2(math.ldexp(r.value, ey), et + eb, "the optimal value"))
+        r.bound = float(_times_pow2(math.ldexp(r.bound, ey), et + eb, "the optimal bound"))
         r.coeffs = _times_pow2(r.coeffs, et - eB, "coefficient {i} of the optimum")
         r.converged = r.converged and r.value - r.bound <= cfg.tol * (1.0 + r.value)
     return results
@@ -820,14 +828,18 @@ def certificate(space: SpaceSpec, x0, w_basis, b) -> Certificate:
     ex, ed = int(np.max(ex)), int(np.max(ex) + np.max(eb))  # of x0 and of delta
     delta, w_star = distance_to_subspace(space, x0v, w_basis, bv)
     if delta <= 1e-9 * two_norm(space, x0v, bv):
-        too_small = f"distance {np.ldexp(delta, ed):.3e} is too small"
-        raise ValueError(f"{too_small}; x0 lies in the subspace modulo b")
+        raise ValueError(
+            f"distance {np.ldexp(delta, ed):.3e} is too small; "
+            "x0 lies in the subspace modulo b"
+        )
     u = x0v - w_star
     r = u - bv * float(u @ bv) / float(bv @ bv)
     h = r / float(r @ x0v)
     _times_pow2(1.0 / delta, -ed, "the operator norm 1/delta")  # must be a float
     delta = float(_times_pow2(delta, ed, "the distance"))
-    return Certificate(_times_pow2(h, -ex, "entry {i} of the functional"), delta)
+    return Certificate(
+        functional=_times_pow2(h, -ex, "entry {i} of the functional"), delta=delta
+    )
 
 
 # Sampled ratios may exceed 1/delta by this fraction; the ratio along the
@@ -874,8 +886,9 @@ def certificate_soundness(
     b_len, h_len = _row_norms(np.vstack([bv, h]))
 
     max_ratio, kept = 0.0, 0
-    draws = [(-1.0, 1.0, (space.dim,)), (-1.0, 1.0, ())]
-    for _, (X, beta) in _uniform_blocks(seed, samples, draws):
+    for _, (X, beta) in _uniform_blocks(
+        seed, samples, [(-1.0, 1.0, (space.dim,)), (-1.0, 1.0, ())]
+    ):
         numer = np.abs(beta * (X @ h))
         denom = two_norm_rows(space, X, beta[:, None] * bv[None, :])
         ok = denom > 1e-12 * b_len
@@ -888,16 +901,26 @@ def certificate_soundness(
     attained = abs(float(h @ witness)) / two_norm(space, witness, bv)
 
     bound = 1.0 / cert.delta
-    h_on_basis = float(np.abs(w_basis.matrix @ h).max(initial=0.0))
+    h_on_basis = (
+        float(np.max(np.abs(w_basis.matrix @ h))) if w_basis.k else 0.0
+    )
+    basis_len = float(_row_norms(w_basis.matrix).max()) if w_basis.k else 0.0
     h_at_x0 = float(h @ x0v)
     passed = (
         max_ratio <= bound * (1.0 + _RATIO_SLACK)
         and abs(attained - bound) <= _ATTAIN_TOL * bound
-        and h_on_basis <= 1e-9 * h_len * _row_norms(w_basis.matrix).max(initial=0.0)
+        and h_on_basis <= 1e-9 * h_len * basis_len
         and abs(h_at_x0 - 1.0) <= 1e-9
     )
     return CertificateSoundness(
-        cert.delta, bound, max_ratio, float(attained), h_on_basis, h_at_x0, kept, passed
+        delta=cert.delta,
+        bound=bound,
+        max_ratio=max_ratio,
+        attained_ratio=float(attained),
+        h_on_basis_max=h_on_basis,
+        h_at_x0=h_at_x0,
+        samples=kept,
+        passed=passed,
     )
 
 

@@ -95,7 +95,9 @@ class EuclideanGram:
     def element_dim(self) -> int:
         return self.dim
 
-    def pair_rows(self, X: np.ndarray, Y: np.ndarray, xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
+    def pair_rows(
+        self, X: np.ndarray, Y: np.ndarray, xx: np.ndarray, yy: np.ndarray
+    ) -> np.ndarray:
         """Areas of paired rows with squared norms ``xx`` and ``yy``,
         ``_BLOCK_ROWS`` rows at a time; a 1-row operand pairs with every row."""
         n = np.broadcast_shapes(X.shape[:1], Y.shape[:1])[0]
@@ -159,9 +161,9 @@ class WhitePolynomial:
         Vd[:, 1:] = V[:, :-1] * np.arange(1, d)
         return V, Vd
 
-    def pair_rows(self, X: np.ndarray, Y: np.ndarray, xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
+    def pair_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """sum_k |f(t_k) g'(t_k) - f'(t_k) g(t_k)| over paired rows, one
-        matmul over the whole batch; the squared norms ``xx``, ``yy`` are unused."""
+        matmul over the whole batch."""
         V, Vd = self.tables
         fv, fd = X @ V.T, X @ Vd.T
         gv, gd = Y @ V.T, Y @ Vd.T
@@ -246,7 +248,7 @@ def _range_scaled(X: np.ndarray) -> tuple[np.ndarray, Union[int, np.ndarray], np
     sq = np.einsum("ij,ij->i", R, R)
     if R is not X:
         sq = sq.repeat(X.shape[0])
-    if not sq.size or (float(sq.min()) >= _SQ_MIN and float(sq.max()) <= _SQ_MAX):
+    if not sq.size or (np.minimum.reduce(sq) >= _SQ_MIN and np.maximum.reduce(sq) <= _SQ_MAX):
         return X, 0, sq
     out = ((sq < _SQ_MIN) | (sq > _SQ_MAX)) & X.any(axis=1)
     e = np.zeros(sq.shape, dtype=int)
@@ -301,7 +303,9 @@ def _sv_ratio(X: np.ndarray) -> float:
     return float(s[-1] / s[0])
 
 
-def _gram_area(X: np.ndarray, Y: np.ndarray, xx: np.ndarray, yy: np.ndarray) -> np.ndarray:
+def _gram_area(
+    X: np.ndarray, Y: np.ndarray, xx: np.ndarray, yy: np.ndarray
+) -> np.ndarray:
     """Parallelogram areas of paired rows, given their squared norms.
 
     The raw Gram determinant xx*yy - xy^2 cancels catastrophically on
@@ -402,7 +406,8 @@ def two_norm_rows(space: SpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     (X, ex, xx), (Y, ey, yy) = _range_scaled(X), _range_scaled(Y)
-    return _times_pow2(space.pair_rows(X, Y, xx, yy), ex + ey, "the 2-norm of row {i}")
+    squares = (xx, yy) if space.norm_ord == 2 else ()  # only the Gram kernel reads them
+    return _times_pow2(space.pair_rows(X, Y, *squares), ex + ey, "the 2-norm of row {i}")
 
 
 def two_norm(space: SpaceSpec, x, y) -> float:

@@ -1100,6 +1100,25 @@ def test_engines_scale_with_targets_and_b(space, a):
     assert np.allclose(np.ldexp(big.g_star, -a), unit.g_star, rtol=1e-9, atol=1e-9)
 
 
+@pytest.mark.parametrize("space", [GRAM, WhitePolynomial(2, (0.0, 0.3, 0.7, 1.0))])
+@pytest.mark.parametrize("tiny", [1e-200, 1e-300])
+def test_zero_target_beside_tiny_targets(space, tiny):
+    # the zero target's power of two (none) must not hide the tiny one's:
+    # unscaled, its squares underflow and the l2 solve stops at c = 0
+    targets, basis, b = np.array([[0, 0, 0], [2 * tiny, tiny, 0]]), [E1], E3
+    a = -math.frexp(tiny)[1]  # 2^a tiny is of order one
+    small = SimultaneousProblem(space, targets, basis, b)
+    unit = solve(SimultaneousProblem(space, np.ldexp(targets, a), basis, b))
+    rep = solve(small)
+    assert rep.converged and unit.converged
+    assert rep.value == math.ldexp(unit.value, -a)
+    assert np.array_equal(rep.g_star, np.ldexp(unit.g_star, -a))
+    assert uniqueness_probe(small).values[0] == rep.per_restart[0].value
+    if space.norm_ord == 2:  # c = 1.25 tiny balances |c| and |(2 tiny - c, tiny)|
+        assert rep.value == pytest.approx(1.25 * tiny, rel=1e-12)
+        assert rep.g_star == pytest.approx([1.25 * tiny, 0, 0], rel=1e-12)
+
+
 @pytest.mark.parametrize("x0", [[1e155, 0, 0], [1e-160, 0, 0]])
 def test_certificate_at_extreme_x0(x0):
     # r @ x0 overflowed to a zero functional (1e155), and the absolute
