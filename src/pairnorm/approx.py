@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -207,19 +207,25 @@ class _Objective:
     """Batch evaluator for max_i p_b(f_i - g) with g = coeffs @ basis.
 
     Residuals are pushed through the seminorm's linear-map form once, so a
-    batch of coefficient vectors costs one small matmul.  ``lipschitz`` is a
-    constant L with |v(c) - v(c')| <= L |c - c'|_2: sigma_max(BM) for the l2
-    norm, sum_j |BM[:, j]|_2 for the l1 norm.  Only :func:`oracle_solve`
-    uses this class, which keeps the oracle independent of the solve engines.
+    batch of coefficient vectors costs one small matmul.  The rows come in
+    range by :func:`_in_range`, so the values are the objective's over
+    2^(et + eb), only compared with each other, and in range keep their
+    bits.  ``lipschitz`` is a constant L with |v(c) - v(c')| <= L |c - c'|_2:
+    sigma_max(BM) for the l2 norm, sum_j |BM[:, j]|_2 for the l1 norm.  Only
+    :func:`oracle_solve` uses this class, which keeps the oracle independent
+    of the solve engines.
     """
 
     def __init__(
         self, space: SpaceSpec, targets: np.ndarray, basis: np.ndarray, b: np.ndarray
     ) -> None:
-        M = seminorm_map(space, b)
+        ts, Bs, bs, et, eB, _ = _in_range(targets, basis, b)
+        M = seminorm_map(space, bs)
         self.l1 = space.norm_ord == 1
-        self.TM = targets @ M.T  # (m, p)
-        self.BM = basis @ M.T  # (k, p)
+        self.TM = ts @ M.T  # (m, p)
+        self.BM = _times_pow2(  # (k, p), for coefficients in units of the basis
+            Bs @ M.T, np.reshape(eB - et, (-1, 1)), "entry {i} of the grid oracle's basis map"
+        )
         self.m = targets.shape[0]
         if self.l1:
             self.lipschitz = float(np.sqrt(np.einsum("ij,ij->j", self.BM, self.BM)).sum())
@@ -257,12 +263,16 @@ class SolveReport:
 
 @dataclass
 class _EngineResult:
-    """An optimal point; ``bound`` is its certified lower bound."""
+    """An optimal point; ``bound`` is its certified lower bound.  ``coeffs``
+    are over the basis rows as the range rule scaled them, in units of the
+    targets' 2^et (so those of the basis itself when every row is in
+    range); :func:`_engine` sets ``point`` from them."""
     coeffs: np.ndarray
     value: float
     bound: float
     iterations: int
     converged: bool
+    point: Optional[np.ndarray] = None
 
 
 # ---------------------------------------------------------------------------
@@ -585,6 +595,23 @@ def _require_solvable(problem: SimultaneousProblem) -> None:
         )
 
 
+def _in_range(
+    targets: np.ndarray, basis: np.ndarray, b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, Union[int, np.ndarray], int]:
+    """A problem's rows by the range rule of ``spaces``, applied once over
+    every row: (targets / 2^et, each basis row over its own 2^eB, b / 2^eb,
+    et, eB, eb).  The targets share 2^et, the largest power the rule gives
+    a nonzero target, so a zero target (e = 0) cannot hide the power of
+    tiny ones.  In range every power is 0 and every row keeps its bits."""
+    Xs, e, _ = _range_scaled(np.vstack([targets, basis, b]))
+    m = targets.shape[0]
+    et, eb, eB = 0, 0, 0
+    if isinstance(e, np.ndarray):
+        nonzero = e[:m][targets.any(axis=1)]
+        et, eb, eB = int(nonzero.max()) if nonzero.size else 0, int(e[-1]), e[m:-1]
+    return np.ldexp(targets, -et), Xs[m:-1], Xs[-1], et, eB, eb
+
+
 def _engine(
     space: SpaceSpec,
     targets: np.ndarray,
@@ -597,31 +624,28 @@ def _engine(
     an engine is chosen: the l2 optimum, unique by strict convexity, or the
     l1 optimum and with ``face`` its face (see :func:`_linear_program`).
 
-    By the range rule of ``spaces``, b comes over 2^eb, each basis vector
-    over its own 2^eB and the targets over one 2^et, the largest power the
-    rule gives a nonzero target.  The engines then see the map M over the
-    power of two 2^ey just above the peak of Y = targets M^T, so Y is of
-    order one, as the tableau's tolerances and the ball's squares need,
-    and the coefficients do not change.  The value is scaled back by
-    2^(et + eb + ey), the coefficients by 2^(et - eB).  A run converges on
-    a clean stop with a gap <= ``tol`` * (1 + value).
+    The rows come in range by :func:`_in_range`.  The engines then see the
+    map M over the power of two 2^ey just above the peak of Y = targets M^T,
+    so Y is of order one, as the tableau's tolerances and the ball's squares
+    need, and the coefficients do not change.  The value is scaled back by
+    2^(et + eb + ey), and the optimum is 2^et (c Bs) from the coefficients c
+    over the scaled basis rows Bs, so no coefficient leaves the float range
+    where the optimum does not; in range that is c B, to the bit.  A run
+    converges on a clean stop with a gap <= ``tol`` * (1 + value).
     """
-    Xs, e, _ = _range_scaled(np.vstack([targets, basis, b]))  # the rule, once over every row
-    m = targets.shape[0]
-    et, eb, eB = 0, 0, 0
-    if isinstance(e, np.ndarray):  # a zero target, e = 0, must not hide the power of tiny ones
-        nonzero = e[:m][targets.any(axis=1)]
-        et, eb, eB = int(nonzero.max()) if nonzero.size else 0, int(e[-1]), e[m:-1]
-    ts = np.ldexp(targets, -et)
-    M = seminorm_map(space, Xs[-1])
+    ts, Bs, bs, et, _, eb = _in_range(targets, basis, b)
+    M = seminorm_map(space, bs)
     ey = math.frexp(float(np.abs(ts @ M.T).max()))[1]
-    scaled = (np.ldexp(M, -ey), ts, Xs[m:-1], cfg)
+    scaled = (np.ldexp(M, -ey), ts, Bs, cfg)
     results = [_enclosing_ball(*scaled)] if space.norm_ord == 2 else _linear_program(*scaled, face)
     for r in results:  # 2^ey cannot overflow the value or its bound; the rule's powers can
         r.value = float(_times_pow2(math.ldexp(r.value, ey), et + eb, "the optimal value"))
         r.bound = float(_times_pow2(math.ldexp(r.bound, ey), et + eb, "the optimal bound"))
-        r.coeffs = _times_pow2(r.coeffs, et - eB, "coefficient {i} of the optimum")
         r.converged = r.converged and r.value - r.bound <= cfg.tol * (1.0 + r.value)
+    # one product for every point: a face's points keep the bits of one matmul
+    points = _times_pow2(np.array([r.coeffs for r in results]) @ Bs, et, "entry {i} of the optimum")
+    for r, point in zip(results, points):
+        r.point = point
     return results
 
 
@@ -641,7 +665,7 @@ def solve(problem: SimultaneousProblem) -> SolveReport:
     res = _engine(
         problem.space, problem.targets, problem.g_basis.matrix, problem.b, problem.solver
     )[0]
-    g_star = problem.g_basis.combine(res.coeffs)
+    g_star = res.point
     run = RestartResult([0.0] * problem.g_basis.k, res.value, res.iterations, res.converged)
     return SolveReport(g_star, objective(problem, g_star), res.converged, per_restart=[run])
 
@@ -763,8 +787,8 @@ def _fit(
     if not _independent_from_span(w_basis.matrix, bv):
         raise ValueError("b must be linearly independent from the subspace span")
     res = _engine(space, targets, w_basis.matrix, bv, cfg or SolverConfig())[0]
-    w = w_basis.combine(res.coeffs)
-    return float(two_norm_rows(space, targets - w, bv[None, :]).max()), w, res.converged
+    value = two_norm_rows(space, targets - res.point, bv[None, :]).max()
+    return float(value), res.point, res.converged
 
 
 def distance_to_subspace(
@@ -1019,7 +1043,7 @@ def uniqueness_probe(problem: SimultaneousProblem, restarts: int = 16) -> Unique
     )
     if len(points) == 1:
         return UniquenessReport(1, 0.0, restarts, [points[0].value])
-    elements = np.array([r.coeffs for r in points]) @ problem.g_basis.matrix
+    elements = np.array([r.point for r in points])
     i, j = np.triu_indices(len(points), 1)
     dists = two_norm_rows(problem.space, elements[i] - elements[j], problem.b[None, :])
     near = np.zeros((len(points),) * 2, dtype=bool)

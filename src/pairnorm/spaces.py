@@ -33,8 +33,12 @@ Batches are the unit of work.  ``as_elements`` validates a whole list of rows
 once, in one pass, and ``two_norm_rows`` evaluates paired rows in one call
 (``approx.objective`` makes one such call over all targets).  The
 ``EuclideanGram`` kernel walks its rows in cache-sized blocks, which changes
-no bit of the result because every row is computed on its own.  The large
-sweeps (``check_axioms``, ``shift_identity_check``,
+no bit of the result because every row is computed on its own, by one of two
+formulas chosen per row (see :func:`_gram_area`): pairs at 45 degrees or more
+apart take the Gram determinant itself, which then loses at most one bit
+(within 2.1 eps |x| |y| of the exact area, measured), and only
+near-dependent pairs form the residuals y - cx x and x - cy y (within 1.0 eps
+|x| |y|).  The large sweeps (``check_axioms``, ``shift_identity_check``,
 ``approx.certificate_soundness`` and the ``sequences`` checks) stream their
 rows in blocks of ``_SWEEP_ROWS``: each block is drawn, or differenced, and
 evaluated on its own, so memory stays flat as the batch grows.  A seeded
@@ -234,7 +238,6 @@ def as_direction(space: SpaceSpec, b, name: str = "b") -> np.ndarray:
 # The range rule: a row whose squared norm leaves [_SQ_MIN, _SQ_MAX] has
 # underflowed or overflowed, or may in a product of two.
 _SQ_MIN, _SQ_MAX = 2.0**-500, 2.0**500
-_TINY = np.nextafter(0.0, 1.0)
 
 
 def _range_scaled(X: np.ndarray) -> tuple[np.ndarray, Union[int, np.ndarray], np.ndarray]:
@@ -303,20 +306,58 @@ def _sv_ratio(X: np.ndarray) -> float:
     return float(s[-1] / s[0])
 
 
+# Pairs with <x, y>^2 <= _GRAM_CUT |x|^2 |y|^2, at 45 degrees or more
+# between their lines, take the Gram determinant |x|^2 |y|^2 - <x, y>^2:
+# the difference then cancels at most one bit (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., 2002, sec. 1.7).  Against an
+# exact rational reference on 55 800 random, 45-degree and near-dependent
+# pairs (d = 2, 4, 16) those rows read at most 2.06 eps |x| |y| absolute
+# error and 2.91 eps relative, where the residual form read 1.31 and 1.54.
+_GRAM_CUT = 0.5
+
+
 def _gram_area(
     X: np.ndarray, Y: np.ndarray, xx: np.ndarray, yy: np.ndarray
 ) -> np.ndarray:
-    """Parallelogram areas of paired rows, given their squared norms.
+    """Parallelogram areas of paired rows, given their squared norms from
+    the range rule, by one of two symmetric formulas per row.
 
-    The raw Gram determinant xx*yy - xy^2 cancels catastrophically on
-    near-dependent pairs; |x|*|y - cx*x| is accurate to machine absolute
-    error, and the geometric mean of the two one-sided areas keeps the result
-    bitwise symmetric in (x, y) because float multiplication commutes.
+    Rows with xy^2 <= ``_GRAM_CUT`` xx yy take sqrt(xx yy - xy^2), which
+    needs only the dot products and forms no temporary of the operands'
+    size.  The near-dependent rest, where that difference would cancel
+    catastrophically, are gathered (or, when every row is near, taken as
+    they are) for :func:`_residual_area`.  The branch test and both
+    formulas are symmetric in (x, y), so the result is bitwise symmetric.
     """
     xy = np.einsum("ij,ij->i", X, Y)
-    # A zero |x|^2 here comes from x = 0, so xy = 0 and the quotient is 0.
-    cx = xy / np.maximum(xx, _TINY)
-    cy = xy / np.maximum(yy, _TINY)
+    area = xx * yy
+    sq = xy * xy
+    gram = sq <= _GRAM_CUT * area
+    if not gram.any():
+        return _residual_area(X, Y, xx, yy, xy)
+    np.subtract(area, sq, out=area)
+    if gram.all():
+        return np.sqrt(area, out=area)
+    # the root only on Gram rows: a near row's difference may be negative
+    np.sqrt(area, out=area, where=gram)
+    near = np.flatnonzero(~gram)
+    rows = (A.take(near, axis=0) if A.shape[0] > 1 else A for A in (X, Y, xx, yy, xy))
+    area[near] = _residual_area(*rows)
+    return area
+
+
+def _residual_area(
+    X: np.ndarray, Y: np.ndarray, xx: np.ndarray, yy: np.ndarray, xy: np.ndarray
+) -> np.ndarray:
+    """Areas of near-dependent paired rows, nonzero, given their squared
+    norms and dot products.
+
+    |x| |y - cx x| is accurate to machine absolute error, and the geometric
+    mean of the two one-sided areas keeps the result bitwise symmetric in
+    (x, y) because float multiplication commutes.
+    """
+    cx = xy / xx
+    cy = xy / yy
     # The residuals y - cx x and then x - cy y share one buffer, and the
     # products and roots are taken in place: the same operations in the
     # same order as with temporaries, so the same bits.
@@ -331,10 +372,12 @@ def _gram_area(
     return np.sqrt(np.multiply(ax, ay, out=ax), out=ax)
 
 
-# Rows per block of the EuclideanGram kernel.  It makes about ten temporaries
-# of the operands' size; at 2048 x 16 doubles each is 256 kB, so a block's
-# working set stays in L2 where a 1e5-row batch would stream every one of
-# them through memory.
+# Rows per block of the EuclideanGram kernel.  Its Gram branch makes only
+# row-length vectors; its residual branch makes at most three temporaries of
+# the operands' size (the gathered near rows of X and Y and one residual
+# buffer).  At 2048 x 16 doubles each is 256 kB, so a block's working set
+# stays in L2 where a 1e5-row batch would stream every one of them through
+# memory.
 _BLOCK_ROWS = 2048
 
 # Rows per block of a streamed sweep, a multiple of ``_BLOCK_ROWS``.  Smaller
@@ -414,9 +457,9 @@ def two_norm(space: SpaceSpec, x, y) -> float:
     """The 2-norm ||x, y||.
 
     Zero exactly when x and y are linearly dependent; symmetric; scales with
-    |alpha| in either slot.  The ``EuclideanGram`` evaluation avoids the raw
-    Gram determinant so dependent pairs come out at machine-epsilon scale
-    rather than its square root.
+    |alpha| in either slot.  The ``EuclideanGram`` evaluation takes the raw
+    Gram determinant only for pairs 45 degrees or more apart, so dependent
+    pairs come out at machine-epsilon scale rather than its square root.
     """
     xv = as_element(space, x, "x")
     yv = as_element(space, y, "y")

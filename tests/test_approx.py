@@ -1119,6 +1119,27 @@ def test_zero_target_beside_tiny_targets(space, tiny):
         assert rep.g_star == pytest.approx([1.25 * tiny, 0, 0], rel=1e-12)
 
 
+@pytest.mark.parametrize("space", [GRAM, WhitePolynomial(2, (0.0, 0.3, 0.7, 1.0))])
+def test_tiny_targets_against_a_huge_basis(space):
+    # the optimal coefficient, 1.25 * 2^-1200 on EuclideanGram, underflowed
+    # to 0, so solve reported g* = 0 and the value 5.39e-181 with converged
+    # true; the optimum is now formed from the scaled coefficients and basis
+    # and is 2^-600 times that of the unit problem, which has the same span
+    targets, basis = np.array([[2.0, 1.0, 0.0], [0.0, 0.0, 0.0]]), np.array([E1], dtype=float)
+    tiny = SimultaneousProblem(space, np.ldexp(targets, -600), np.ldexp(basis, 600), E3)
+    unit = solve(SimultaneousProblem(space, targets, basis, E3))
+    rep = solve(tiny)
+    assert rep.converged and unit.converged
+    assert rep.value == math.ldexp(unit.value, -600)
+    assert np.array_equal(rep.g_star, np.ldexp(unit.g_star, -600))
+    assert uniqueness_probe(tiny).values[0] == rep.per_restart[0].value
+    _, w = distance_to_subspace(space, tiny.targets[0], tiny.g_basis, E3)
+    assert np.array_equal(w, np.ldexp(distance_to_subspace(space, targets[0], basis, E3)[1], -600))
+    if space.norm_ord == 2:
+        assert rep.value == pytest.approx(1.25 * 2.0**-600, rel=1e-12)
+        assert rep.g_star == pytest.approx([1.25 * 2.0**-600, 0, 0], rel=1e-12)
+
+
 @pytest.mark.parametrize("x0", [[1e155, 0, 0], [1e-160, 0, 0]])
 def test_certificate_at_extreme_x0(x0):
     # r @ x0 overflowed to a zero functional (1e155), and the absolute

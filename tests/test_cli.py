@@ -21,6 +21,7 @@ from pairnorm import (
     norm_limit_check,
     shift_identity_check,
 )
+import pairnorm.spaces as spaces
 from pairnorm.jsonio import dumps, space_from_dict, to_dict
 
 SPACE = {"kind": "euclidean_gram", "dim": 3}
@@ -502,8 +503,8 @@ SWEEP_FLAGS = ["--samples", "3000", "--seed", "5", "--tol", "1e-16"]
 ORACLE_FLAGS = ["--oracle", "--resolution", "41"]
 GOLDEN = {
     "check-axioms-euclid": (
-        "check-axioms", SWEEP_FLAGS, {"kind": "euclidean_gram", "dim": 4}, 3, 703308,
-        "936c0332b96dc402b628a276fc2412d8aecd997c3975cbbe4ed29294c3d234b9",
+        "check-axioms", SWEEP_FLAGS, {"kind": "euclidean_gram", "dim": 4}, 3, 817588,
+        "72ad399cf59295998f75279cd6d293b4eef02dbcefede14151a6c3cb5786fd72",
     ),
     "check-axioms-white": (
         "check-axioms", SWEEP_FLAGS, WHITE3, 3, 1527346,
@@ -511,8 +512,8 @@ GOLDEN = {
     ),
     "sequence-euclid": (
         "sequence", ["--tail-from", "0"],
-        golden_sequence({"kind": "euclidean_gram", "dim": 5}, 5, 120), 0, 8762,
-        "a67828ef37cf711663d267d84512478a39f92120216fd0de89703c4c9cf42934",
+        golden_sequence({"kind": "euclidean_gram", "dim": 5}, 5, 120), 0, 8776,
+        "24c68bfa783b54480821cf3d71cb1b2f5dde2bfa2a903d45adb154f42bde4b1c",
     ),
     "sequence-white": (
         "sequence", ["--tail-from", "0"], golden_sequence(WHITE3, 4, 120), 0, 8529,
@@ -527,12 +528,12 @@ GOLDEN = {
         "818db0fe31751e01d5c96fdb145e0a5116896286b42d2ab3c1e2639b981d2360",
     ),
     "distance-euclid": (
-        "distance", [], golden_problem(EUCLID6, 6, 1, 2), 0, 179,
-        "ae6e070a05ec6664f8bcf2c7af44b8c21ca6a394e85fb7fa0b79586b907a6e87",
+        "distance", [], golden_problem(EUCLID6, 6, 1, 2), 0, 180,
+        "f9191e41da26d3fab9d130a0ecff0ac0c20612dbdb7d80483c983b89ad487978",
     ),
     "certificate-euclid": (
-        "certificate", [], golden_problem(EUCLID6, 6, 1, 2), 0, 470,
-        "e710e6f4beff3857b43dfb476f80487cca82887a3a4270c352c7efc70ff26a06",
+        "certificate", [], golden_problem(EUCLID6, 6, 1, 2), 0, 472,
+        "bd991b066261101bfb9519f26ad257aef88d4637613047b314664f3de09542c3",
     ),
     "uniqueness-euclid": (
         "uniqueness", [], golden_problem(EUCLID6, 6, 3, 2), 0, 96,
@@ -540,7 +541,7 @@ GOLDEN = {
     ),
     "blend-euclid": (
         "blend", [], golden_problem(EUCLID6, 6, 3, 2), 0, 1097,
-        "a3c19e92e4662ec5bff9ee574e41382f01023a8d397f7c6fbf39da61476f1c49",
+        "f9058a005bc75b7f00e86f6db84a432d59cb49d94063fcdaaa1053fb70e905b1",
     ),
     "solve-white": (
         "solve", [], golden_problem(WHITE5, 6, 3, 2), 0, 460,
@@ -584,15 +585,15 @@ def test_golden_report_bytes(tmp_path, capsys, name):
 BLOCK_EDGE_SPACES = {"euclid": EuclideanGram(4), "white": space_from_dict(WHITE3)}
 BLOCK_EDGE_DIGESTS = {
     ("check_axioms", "euclid", 2):
-        "0e15653c3598aeb7e6efe662284b3cfc0a130c31201e39067fb57cde6901bbdf",
+        "ab9ec0f7b9367eac960517e495f1d334ecb3f21548c06172bfb2b3422248428c",
     ("check_axioms", "euclid", 8191):
-        "2b3debf4ec03122d851b05a046684058429f568c24b8907be751be56198cee59",
+        "cf316ed7c10f54acf4b57b82c8d5f8111dea7284b1dedab659bba63934b7afc0",
     ("check_axioms", "euclid", 8192):
-        "23be532d4d0ea2a250028acff4000af7978a46fa8a958fe2e28676cd6146a45f",
+        "5f5f855cb5dc5e4b6ae5c0e3d39d2c4b30289dd8db47624dfd88c1e7d218b669",
     ("check_axioms", "euclid", 8193):
-        "0da897a24786ba506a2b1b20efc589b680394d7cc774d82588a0486ad2639543",
+        "f2e03f3d88dd3f76a8c329b635448ea6d435e7ce326b2f894d9e2b6818864f2f",
     ("check_axioms", "euclid", 16385):
-        "7b35d8d1b42512eafcf53fce7059311dbd977516755c3003943337e53adf4b0c",
+        "b29120d54d5777f64610b04c71a15053e729c0f1e3950a3b4ef03c867ad3f146",
     ("check_axioms", "white", 2):
         "d29fde6391b34750c722c2fe18468acee72acd2685cc47568bc95fd0b7bef2e8",
     ("check_axioms", "white", 8191):
@@ -606,13 +607,13 @@ BLOCK_EDGE_DIGESTS = {
     ("shift_identity_check", "euclid", 2):
         "f5d4a9df413b50da3c638dc8047549d7da5549a9717cb80530393951f604e40e",
     ("shift_identity_check", "euclid", 8191):
-        "7f8d541fba5796fb03f9f6f969f962ba08e62b0a4467bac393a50c2b1fd5aebf",
+        "8bd5f8f9ad81cf04f965300f79bf5f2e2284fda88b575fdf9a1bb7201e5ba338",
     ("shift_identity_check", "euclid", 8192):
-        "144a672a1b9c22440a8ceef891385c327da54046822d1dbc9ce94f3142931423",
+        "50a3c65a8959a4e939c74810003e3f6b78642ecbc5e67977b897af8d524020e8",
     ("shift_identity_check", "euclid", 8193):
-        "17282d03a613b9c235146b905eb0b6be00ef17005e9da874f18f028a1ddeb1e0",
+        "c6ee5ba79ab07426e8aa817f40089fbb295398141fe657ab1b14cb77af7fef54",
     ("shift_identity_check", "euclid", 16385):
-        "b95fd93cac50a311bd0f1675104eefcb438b535f54d99f59d5fd492d3a7b6e41",
+        "f8624c7dbb5396b84efd66b8d88e54ee0c4b5050b3f985347f710068257bb258",
     ("shift_identity_check", "white", 2):
         "7b7dc85add28666bfe1f858b228345c6792724f14d8cc2dfe705eaa12508fbd1",
     ("shift_identity_check", "white", 8191):
@@ -624,15 +625,15 @@ BLOCK_EDGE_DIGESTS = {
     ("shift_identity_check", "white", 16385):
         "540b3e9339b4e86ddf51c2a2323d23a69128499292058d76dae0be16df693de6",
     ("norm_limit_check", "euclid", 2):
-        "7d790ae0c9e562a203c0484658ccf644af5c6da18d1ea229dc0e78b7e90045e0",
+        "77db16d4d5e70251567dee78ac5f7530dd4f611e5077a56e538a9626937fbbaf",
     ("norm_limit_check", "euclid", 8191):
-        "29a4e6697796545b98e32dbbd3090fa7ece11d4be19176be3a98519c6fc17e98",
+        "4ede540d81432059f331e91f6c43a0ed689d26c750a921a34de4125588b4abe1",
     ("norm_limit_check", "euclid", 8192):
-        "5740c5e9f77bd1208c62630bf66ea35484826d9319b62b5822b44c574e5dbd21",
+        "96bb369a60f10e6c1bf7baac6a3c945b9928d202bcf246105b31a1901539ac04",
     ("norm_limit_check", "euclid", 8193):
-        "46d2924701804060b83dd820917ab4182f3cd901fcccc76f27979e209ba7275a",
+        "817cae74509d33a4525c7db0f7e6cfd7fcb9d3c6de9adfd7e499d24a5dc5a4b6",
     ("norm_limit_check", "euclid", 16385):
-        "dbb7b429185a12e5715ae4c1d5b5cf6b3bb1eba331d5b5587566483f626ee689",
+        "e3b3a18902352ba38bfc0df612e77443da65954057e5b02ae01c220f83d680af",
     ("norm_limit_check", "white", 2):
         "1347edaf8675458b09b3799f0aa6585534b93b6c3e47b64e610a3563c5333cfd",
     ("norm_limit_check", "white", 8191):
@@ -644,15 +645,15 @@ BLOCK_EDGE_DIGESTS = {
     ("norm_limit_check", "white", 16385):
         "ffb2d14061919362fe46bb20aa17c4898537dc001f20416e37cfe2d2fd25dbd9",
     ("convergence_profile", "euclid", 2):
-        "70431c409ac1d2399ba59eab37f75a40918bab6ba0e49af3712474749e2545c8",
+        "ec2ac9785c533887db868252e445c9bed0f701375dfacb28cfbcec65957e3477",
     ("convergence_profile", "euclid", 8191):
-        "416a9bef4cd7decab11e113b02f3c046d4e42777b310913ca0fe8e1c1f0dbb0d",
+        "1a416d5d98ff52e912f93c858f70ad3e4cbc051ea77dcd8fe168af27460d86db",
     ("convergence_profile", "euclid", 8192):
-        "9b7cebd293eb510c24f8692a9314ace978d0a8fe1bbecb525ab40b7ec4ac38dc",
+        "9e99206363cbe0b0da95947576b7fecd9d3c9e9bc0b44b263969774fc6e8dda6",
     ("convergence_profile", "euclid", 8193):
-        "ffede855e3184b8831e2d0cca6e38dd2531f87844600c43ffcde46501a7f1b68",
+        "14afe7c98f5195f259daedeccf199d69c338b273ee39317c5758d428de64d731",
     ("convergence_profile", "euclid", 16385):
-        "ab4edd1222d45af10c3501966e7c2b0e40b341dee47dfc6fb757c4ff6c9f0cf4",
+        "8621043ad804be66124fbdb5c60ef9390cd2ed02a39f570b7b0dc1236f154c9c",
     ("convergence_profile", "white", 2):
         "e6afb700e2f61622c185b53836e7feea8aa5163452047ccf5e7b20615c6ef730",
     ("convergence_profile", "white", 8191):
@@ -664,15 +665,15 @@ BLOCK_EDGE_DIGESTS = {
     ("convergence_profile", "white", 16385):
         "14dff2e0e31a58ecd4bfb62f1ded8366920fb6c17f8776fb2fc2149d7b108f18",
     ("certificate_soundness", "euclid", 2):
-        "fe3a34349c23413d2b52f0d35d92405e68cbf975dca3c436884c252bfd2dc851",
+        "8c6565c55ff05ab61d41edb86fc9568cefb9f0afef09d98931a7cfeb32ca1532",
     ("certificate_soundness", "euclid", 8191):
-        "89a0a4043f0964c189ef66e3a21dd23550bf465bea2a09844490fde9ac21e945",
+        "e9281e16f3a1a5bd22dd97830a5f165b09858392285b41f9bb81c07229e4be93",
     ("certificate_soundness", "euclid", 8192):
-        "0dabd865da88372f8e4f839a083b7c2d26f2317715cdbce9f8e314f87ed1305c",
+        "06790b6d00a00b17f311bd4326c14ce63090de0f6d20505f171ff04697de882e",
     ("certificate_soundness", "euclid", 8193):
-        "b707cf1b8caccce9194683e2e22282993d7660ebe799b710ca78bc44b51b327a",
+        "511c5e365de294aaf863aa4314794aebe84d5674f6639cfc945217581b2b977e",
     ("certificate_soundness", "euclid", 16385):
-        "10d2661dedc700f9a09ba799cdd5484abdc5304b1123abd5d6a0ab2e548bfcb5",
+        "374add1c2476db834bf4fa9bbab5dead7b7a21703fccf1608db74f3d8b857ddc",
 }
 
 
@@ -702,6 +703,38 @@ def block_edge_report(sweep, name, n):
 def test_block_edge_report_bytes(case):
     text = dumps(to_dict(block_edge_report(*case)))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BLOCK_EDGE_DIGESTS[case]
+
+
+@pytest.mark.parametrize(
+    "case", sorted(BLOCK_EDGE_DIGESTS), ids=lambda case: "-".join(map(str, case))
+)
+def test_block_edge_digests_are_whole_sweeps(case, monkeypatch):
+    # the digests are those of one block over every row: with the sweep
+    # blocks and the kernel blocks at least n rows long, each sweep must
+    # print the bytes the blocked sweep above prints
+    n = case[2]
+    monkeypatch.setattr(spaces, "_SWEEP_ROWS", n)
+    monkeypatch.setattr(spaces, "_BLOCK_ROWS", n)
+    assert spaces._row_blocks(n) == [(0, n)]
+    text = dumps(to_dict(block_edge_report(*case)))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == BLOCK_EDGE_DIGESTS[case]
+
+
+def test_oracle_at_the_top_of_the_float_range(tmp_path, capsys):
+    # the grid oracle formed targets @ M^T unscaled, so its bounds took
+    # inf - inf, a RuntimeWarning (an error under this suite's filter); it
+    # now takes the rows in range as the engine does
+    payload = {
+        "space": {"kind": "euclidean_gram", "dim": 4},
+        "targets": [[1e300, 0, 0, 0], [0, 1e300, 0, 0]],
+        "g_basis": [[0, 0, 1, 0]],
+        "b": [0, 0, 0, 1],
+    }
+    code, out, err = run_cli(capsys, "solve", write(tmp_path, "top.json", payload), "--oracle")
+    assert code == 0
+    assert out["value"] == pytest.approx(1e300, rel=1e-12)
+    assert out["oracle"]["value"] == pytest.approx(1e300, rel=1e-12)
+    assert "Warning" not in err and "Traceback" not in err
 
 
 def test_white_sequence_pair_beyond_the_largest_float(tmp_path, capsys):
