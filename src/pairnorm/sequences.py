@@ -84,28 +84,17 @@ def _overflow(X: np.ndarray, y: np.ndarray, first: int, other: str) -> ValueErro
     )
 
 
-def _against(space: SpaceSpec, X: np.ndarray, probe: np.ndarray) -> np.ndarray:
-    """The 2-norms ||x_i, probe|| of the rows of ``X``, with the bits of a
-    tiled probe but without the copy.  The probe goes in as a stride-0 view
-    rather than one row: on ``WhitePolynomial`` a 1-row matmul rounds
-    differently from the same row inside a many-row one."""
-    return two_norm_rows(space, X, np.broadcast_to(probe, X.shape))
-
-
 def _pair_max(
     space: SpaceSpec, tail: np.ndarray, probes: Sequence, i: np.ndarray, j: np.ndarray
 ) -> np.ndarray:
     """Per probe, max ||tail[i] - tail[j], probe|| over paired indices i < j,
-    ``_PAIR_CHUNK`` pairs at a time; -inf for no pairs.  ``_row_blocks``
-    never leaves a 1-row chunk, and a lone pair of a tail longer than two
-    goes in twice, so every value has the bits of a sweep of all the tail's
-    pairs."""
-    if i.size == 1 and tail.shape[0] > 2:
-        i, j = np.repeat(i, 2), np.repeat(j, 2)
+    ``_PAIR_CHUNK`` pairs at a time; -inf for no pairs.  The kernel gives a
+    row the same bits in any batch, so every value has the bits of a sweep
+    of all the tail's pairs."""
     sups = [np.full(len(probes), -np.inf)]
     for lo, hi in _row_blocks(i.size, _PAIR_CHUNK):
         diffs = _difference(tail[i[lo:hi]], tail[j[lo:hi]])
-        sups.append([_against(space, diffs, p).max() for p in probes])
+        sups.append([two_norm_rows(space, diffs, p[None, :]).max() for p in probes])
     return np.max(sups, axis=0)
 
 
@@ -127,7 +116,7 @@ def _tail_sup(space: SpaceSpec, tail: np.ndarray, probe: np.ndarray) -> float:
     """max over i < j of ||x_i - x_j, probe|| on ``tail``, from the pairs a
     triangle bound cannot rule out; see :func:`cauchy_profile`."""
     d = _difference(tail[:-1], tail[-1])
-    r = _against(space, d, probe)  # the pairs (i, last)
+    r = two_norm_rows(space, d, probe[None, :])  # the pairs (i, last)
     f = int(np.argmax(r))
     rest = np.delete(np.arange(r.size), f)
     through = _pair_max(space, tail, [probe], np.minimum(rest, f), np.maximum(rest, f))
@@ -171,10 +160,8 @@ def cauchy_profile(space: SpaceSpec, seq: SequencePrefix, tail_from: int) -> Cau
     that differ by more than the largest float are a ValueError naming them.
 
     Each supremum has the bits of the full sweep: a pair value is x_i - x_j
-    with i < j through the same kernel, in batches of at least two rows (a
-    lone pair of a longer tail goes in twice, and a 2-element tail stays one
-    1-row batch, as in the full sweep), and a pair left out is at most
-    ``best``, which was evaluated.
+    with i < j through the same kernel, which gives a row the same bits in
+    any batch, and a pair left out is at most ``best``, which was evaluated.
     """
     n = len(seq)
     if not (0 <= tail_from < n - 1):
@@ -245,7 +232,7 @@ def convergence_profile(
         for lo, hi in _row_blocks(n):
             diffs = _difference(seq.elements[lo:hi], lim)
             for s, pv in zip(series, probes):
-                s[lo:hi] = _against(space, diffs, pv)
+                s[lo:hi] = two_norm_rows(space, diffs, pv[None, :])
     except FloatingPointError:
         raise _overflow(seq.elements, lim, 0, "the limit") from None
     return [
@@ -284,8 +271,8 @@ def norm_limit_check(space: SpaceSpec, seq: SequencePrefix, limit, y) -> NormLim
     try:
         for lo, hi in _row_blocks(len(seq)):
             rows = seq.elements[lo:hi]
-            bounds[lo:hi] = _against(space, _difference(rows, lim), yv)
-            series[lo:hi] = _against(space, rows, yv)
+            bounds[lo:hi] = two_norm_rows(space, _difference(rows, lim), yv[None, :])
+            series[lo:hi] = two_norm_rows(space, rows, yv[None, :])
     except FloatingPointError:
         raise _overflow(seq.elements, lim, 0, "the limit") from None
     lim_val = float(two_norm_rows(space, lim[None, :], yv[None, :])[0])

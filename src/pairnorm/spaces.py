@@ -31,14 +31,17 @@ one-directionally, on constructed dependent pairs.
 
 Batches are the unit of work.  ``as_elements`` validates a whole list of rows
 once, in one pass, and ``two_norm_rows`` evaluates paired rows in one call
-(``approx.objective`` makes one such call over all targets).  The
-``EuclideanGram`` kernel walks its rows in cache-sized blocks, which changes
-no bit of the result because every row is computed on its own, by one of two
-formulas chosen per row (see :func:`_gram_area`): pairs at 45 degrees or more
-apart take the Gram determinant itself, which then loses at most one bit
-(within 2.1 eps |x| |y| of the exact area, measured), and only
-near-dependent pairs form the residuals y - cx x and x - cy y (within 1.0 eps
-|x| |y|).  The large sweeps (``check_axioms``, ``shift_identity_check``,
+(``approx.objective`` makes one such call over all targets), walking long
+batches in cache-sized blocks of ``_BLOCK_ROWS`` rows.  That changes no bit
+of the result because both kernels compute every row on its own, with the
+same bits in any batch, a 1-row one included.  The ``EuclideanGram`` kernel
+takes one of two formulas per row (see :func:`_gram_area`): pairs at 45
+degrees or more apart take the Gram determinant itself, which then loses at
+most one bit (within 2.1 eps |x| |y| of the exact area, measured), and only
+near-dependent pairs form the residuals y - cx x and x - cy y (within 1.0
+eps |x| |y|).  The ``WhitePolynomial`` kernel evaluates a 1-row operand as
+two rows, since BLAS rounds a 1-row matmul differently.  The large sweeps
+(``check_axioms``, ``shift_identity_check``,
 ``approx.certificate_soundness`` and the ``sequences`` checks) stream their
 rows in blocks of ``_SWEEP_ROWS``: each block is drawn, or differenced, and
 evaluated on its own, so memory stays flat as the batch grows.  A seeded
@@ -81,6 +84,72 @@ __all__ = [
 ]
 
 
+# Pairs with <x, y>^2 <= _GRAM_CUT |x|^2 |y|^2, at 45 degrees or more
+# between their lines, take the Gram determinant |x|^2 |y|^2 - <x, y>^2:
+# the difference then cancels at most one bit (Higham, Accuracy and
+# Stability of Numerical Algorithms, 2nd ed., 2002, sec. 1.7).  Against an
+# exact rational reference on 55 800 random, 45-degree and near-dependent
+# pairs (d = 2, 4, 16) those rows read at most 2.06 eps |x| |y| absolute
+# error and 2.91 eps relative, where the residual form read 1.31 and 1.54.
+_GRAM_CUT = 0.5
+
+
+def _gram_area(
+    X: np.ndarray, Y: np.ndarray, xx: np.ndarray, yy: np.ndarray
+) -> np.ndarray:
+    """Parallelogram areas of paired rows, given their squared norms from
+    the range rule, by one of two symmetric formulas per row.
+
+    Rows with xy^2 <= ``_GRAM_CUT`` xx yy take sqrt(xx yy - xy^2), which
+    needs only the dot products and forms no temporary of the operands'
+    size.  The near-dependent rest, where that difference would cancel
+    catastrophically, are gathered (or, when every row is near, taken as
+    they are) for :func:`_residual_area`.  The branch test and both
+    formulas are symmetric in (x, y), so the result is bitwise symmetric.
+    """
+    xy = np.einsum("ij,ij->i", X, Y)
+    area = xx * yy
+    sq = xy * xy
+    gram = sq <= _GRAM_CUT * area
+    if not gram.any():
+        return _residual_area(X, Y, xx, yy, xy)
+    np.subtract(area, sq, out=area)
+    if gram.all():
+        return np.sqrt(area, out=area)
+    # the root only on Gram rows: a near row's difference may be negative
+    np.sqrt(area, out=area, where=gram)
+    near = np.flatnonzero(~gram)
+    rows = (A.take(near, axis=0) if A.shape[0] > 1 else A for A in (X, Y, xx, yy, xy))
+    area[near] = _residual_area(*rows)
+    return area
+
+
+def _residual_area(
+    X: np.ndarray, Y: np.ndarray, xx: np.ndarray, yy: np.ndarray, xy: np.ndarray
+) -> np.ndarray:
+    """Areas of near-dependent paired rows, nonzero, given their squared
+    norms and dot products.
+
+    |x| |y - cx x| is accurate to machine absolute error, and the geometric
+    mean of the two one-sided areas keeps the result bitwise symmetric in
+    (x, y) because float multiplication commutes.
+    """
+    cx = xy / xx
+    cy = xy / yy
+    # The residuals y - cx x and then x - cy y share one buffer, and the
+    # products and roots are taken in place: the same operations in the
+    # same order as with temporaries, so the same bits.
+    res = cx[:, None] * X
+    np.subtract(Y, res, out=res)
+    ax = np.einsum("ij,ij->i", res, res)
+    np.sqrt(np.multiply(xx, ax, out=ax), out=ax)
+    np.multiply(cy[:, None], Y, out=res)
+    np.subtract(X, res, out=res)
+    ay = np.einsum("ij,ij->i", res, res)
+    np.sqrt(np.multiply(yy, ay, out=ay), out=ay)
+    return np.sqrt(np.multiply(ax, ay, out=ax), out=ax)
+
+
 @dataclass(frozen=True)
 class EuclideanGram:
     """R^dim with the parallelogram-area 2-norm; p_b(u) = |M_b u|_2."""
@@ -99,17 +168,7 @@ class EuclideanGram:
     def element_dim(self) -> int:
         return self.dim
 
-    def pair_rows(
-        self, X: np.ndarray, Y: np.ndarray, xx: np.ndarray, yy: np.ndarray
-    ) -> np.ndarray:
-        """Areas of paired rows with squared norms ``xx`` and ``yy``,
-        ``_BLOCK_ROWS`` rows at a time; a 1-row operand pairs with every row."""
-        n = np.broadcast_shapes(X.shape[:1], Y.shape[:1])[0]
-        out = np.empty(n)
-        for lo in range(0, n, _BLOCK_ROWS):
-            blk = slice(lo, lo + _BLOCK_ROWS)
-            out[blk] = _gram_area(*(A[blk] if A.shape[0] > 1 else A for A in (X, Y, xx, yy)))
-        return out
+    pair_rows = staticmethod(_gram_area)
 
     def seminorm_map(self, bv: np.ndarray) -> np.ndarray:
         """M = |b| I - b b^T / |b| for a validated direction ``bv``, as
@@ -166,11 +225,18 @@ class WhitePolynomial:
         return V, Vd
 
     def pair_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """sum_k |f(t_k) g'(t_k) - f'(t_k) g(t_k)| over paired rows, one
-        matmul over the whole batch."""
+        """sum_k |f(t_k) g'(t_k) - f'(t_k) g(t_k)| over paired rows.
+
+        A row takes the same bits in any batch: BLAS rounds a many-row
+        matmul (gemm) alike for every row, but a 1-row one (gemv)
+        differently, so a 1-row operand is evaluated as two copies of
+        itself and the first row kept."""
         V, Vd = self.tables
-        fv, fd = X @ V.T, X @ Vd.T
-        gv, gd = Y @ V.T, Y @ Vd.T
+        fv, fd, gv, gd = (
+            (np.repeat(A, 2, axis=0) @ T)[:1] if A.shape[0] == 1 else A @ T
+            for A in (X, Y)
+            for T in (V.T, Vd.T)
+        )
         return np.abs(fv * gd - fd * gv).sum(axis=1)
 
     def seminorm_map(self, bv: np.ndarray) -> np.ndarray:
@@ -247,10 +313,7 @@ def _range_scaled(X: np.ndarray) -> tuple[np.ndarray, Union[int, np.ndarray], np
     otherwise 2^e is the power of two at or below the row's largest absolute
     entry.  Dividing by 2^e is exact.  When every row is in range, e is the
     int 0, X comes back as it is, and the squares are the only work."""
-    R = X[:1] if X.shape[0] > 1 and X.strides[0] == 0 else X  # a stride-0 view: one row
-    sq = np.einsum("ij,ij->i", R, R)
-    if R is not X:
-        sq = sq.repeat(X.shape[0])
+    sq = np.einsum("ij,ij->i", X, X)
     if not sq.size or (np.minimum.reduce(sq) >= _SQ_MIN and np.maximum.reduce(sq) <= _SQ_MAX):
         return X, 0, sq
     out = ((sq < _SQ_MIN) | (sq > _SQ_MAX)) & X.any(axis=1)
@@ -306,78 +369,13 @@ def _sv_ratio(X: np.ndarray) -> float:
     return float(s[-1] / s[0])
 
 
-# Pairs with <x, y>^2 <= _GRAM_CUT |x|^2 |y|^2, at 45 degrees or more
-# between their lines, take the Gram determinant |x|^2 |y|^2 - <x, y>^2:
-# the difference then cancels at most one bit (Higham, Accuracy and
-# Stability of Numerical Algorithms, 2nd ed., 2002, sec. 1.7).  Against an
-# exact rational reference on 55 800 random, 45-degree and near-dependent
-# pairs (d = 2, 4, 16) those rows read at most 2.06 eps |x| |y| absolute
-# error and 2.91 eps relative, where the residual form read 1.31 and 1.54.
-_GRAM_CUT = 0.5
-
-
-def _gram_area(
-    X: np.ndarray, Y: np.ndarray, xx: np.ndarray, yy: np.ndarray
-) -> np.ndarray:
-    """Parallelogram areas of paired rows, given their squared norms from
-    the range rule, by one of two symmetric formulas per row.
-
-    Rows with xy^2 <= ``_GRAM_CUT`` xx yy take sqrt(xx yy - xy^2), which
-    needs only the dot products and forms no temporary of the operands'
-    size.  The near-dependent rest, where that difference would cancel
-    catastrophically, are gathered (or, when every row is near, taken as
-    they are) for :func:`_residual_area`.  The branch test and both
-    formulas are symmetric in (x, y), so the result is bitwise symmetric.
-    """
-    xy = np.einsum("ij,ij->i", X, Y)
-    area = xx * yy
-    sq = xy * xy
-    gram = sq <= _GRAM_CUT * area
-    if not gram.any():
-        return _residual_area(X, Y, xx, yy, xy)
-    np.subtract(area, sq, out=area)
-    if gram.all():
-        return np.sqrt(area, out=area)
-    # the root only on Gram rows: a near row's difference may be negative
-    np.sqrt(area, out=area, where=gram)
-    near = np.flatnonzero(~gram)
-    rows = (A.take(near, axis=0) if A.shape[0] > 1 else A for A in (X, Y, xx, yy, xy))
-    area[near] = _residual_area(*rows)
-    return area
-
-
-def _residual_area(
-    X: np.ndarray, Y: np.ndarray, xx: np.ndarray, yy: np.ndarray, xy: np.ndarray
-) -> np.ndarray:
-    """Areas of near-dependent paired rows, nonzero, given their squared
-    norms and dot products.
-
-    |x| |y - cx x| is accurate to machine absolute error, and the geometric
-    mean of the two one-sided areas keeps the result bitwise symmetric in
-    (x, y) because float multiplication commutes.
-    """
-    cx = xy / xx
-    cy = xy / yy
-    # The residuals y - cx x and then x - cy y share one buffer, and the
-    # products and roots are taken in place: the same operations in the
-    # same order as with temporaries, so the same bits.
-    res = cx[:, None] * X
-    np.subtract(Y, res, out=res)
-    ax = np.einsum("ij,ij->i", res, res)
-    np.sqrt(np.multiply(xx, ax, out=ax), out=ax)
-    np.multiply(cy[:, None], Y, out=res)
-    np.subtract(X, res, out=res)
-    ay = np.einsum("ij,ij->i", res, res)
-    np.sqrt(np.multiply(yy, ay, out=ay), out=ay)
-    return np.sqrt(np.multiply(ax, ay, out=ax), out=ax)
-
-
-# Rows per block of the EuclideanGram kernel.  Its Gram branch makes only
-# row-length vectors; its residual branch makes at most three temporaries of
-# the operands' size (the gathered near rows of X and Y and one residual
-# buffer).  At 2048 x 16 doubles each is 256 kB, so a block's working set
-# stays in L2 where a 1e5-row batch would stream every one of them through
-# memory.
+# Rows per block of ``two_norm_rows``, for both kernels.  The Gram branch
+# makes only row-length vectors and the residual branch at most three
+# temporaries of the operands' size (the gathered near rows of X and Y and
+# one residual buffer), 256 kB each at 2048 x 16 doubles; the White kernel
+# makes four n x 2*degree products, 192 kB each at degree 6.  So a block's
+# working set stays in L2 where a 1e5-row batch would stream every one of
+# them through memory.
 _BLOCK_ROWS = 2048
 
 # Rows per block of a streamed sweep, a multiple of ``_BLOCK_ROWS``.  Smaller
@@ -391,13 +389,9 @@ _SWEEP_ROWS = 8192
 
 def _row_blocks(n: int, rows: Optional[int] = None) -> list[tuple[int, int]]:
     """``range(n)`` cut into (lo, hi) blocks of ``rows`` rows, by default
-    ``_SWEEP_ROWS``.  A 1-row remainder is folded into the block before it,
-    since a 1-row ``WhitePolynomial`` matmul rounds differently from the
-    same row inside a larger one."""
-    cuts = list(range(0, n, rows or _SWEEP_ROWS)) + [n]
-    if len(cuts) > 2 and cuts[-1] - cuts[-2] == 1:
-        del cuts[-2]
-    return list(zip(cuts[:-1], cuts[1:]))
+    ``_SWEEP_ROWS``; the last block takes what is left."""
+    rows = rows or _SWEEP_ROWS
+    return [(lo, min(lo + rows, n)) for lo in range(0, n, rows)]
 
 
 def _uniform_blocks(
@@ -433,24 +427,29 @@ def two_norm_rows(space: SpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     No validation: callers check their rows once per batch (see
     :func:`as_elements`), and batch callers such as ``approx.objective``
     pass all their rows in one call.  A 1-row operand is paired with every
-    row of the other.
+    row of the other; other row counts must match.
 
     Both kernels follow the one range rule, :func:`_range_scaled`: by
     bi-homogeneity, ||x, y|| = 2^(ex + ey) ||x / 2^ex, y / 2^ey||, so the
-    rows it scales are divided by their powers of two, ``pair_rows`` runs
-    once and the result is multiplied back (a ValueError beyond the largest
-    float).  Rows in range keep their bits, and ``EuclideanGram`` reuses the
-    rule's squares, walking its rows in blocks of ``_BLOCK_ROWS`` with the
-    bits of one unblocked evaluation.  ``WhitePolynomial`` runs one matmul
-    over the whole batch, scaled rows included: a 1-row operand, or a 1-row
-    part of a split batch, can round differently from the same row inside a
-    many-row matmul.  A stride-0 view of one row keeps a tiled copy's bits.
+    rows it scales are divided by their powers of two, the kernel runs and
+    the result is multiplied back (a ValueError beyond the largest float).
+    Rows in range keep their bits, and ``EuclideanGram`` reuses the rule's
+    squares.  Both kernels compute every row on its own, with the same bits
+    in any batch, so a batch longer than ``_BLOCK_ROWS`` is walked in
+    blocks of that many rows and keeps the bits of one unblocked call.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     (X, ex, xx), (Y, ey, yy) = _range_scaled(X), _range_scaled(Y)
-    squares = (xx, yy) if space.norm_ord == 2 else ()  # only the Gram kernel reads them
-    return _times_pow2(space.pair_rows(X, Y, *squares), ex + ey, "the 2-norm of row {i}")
+    rows = (X, Y, xx, yy) if space.norm_ord == 2 else (X, Y)  # only Gram reads the squares
+    n = np.broadcast_shapes(X.shape[:1], Y.shape[:1])[0]
+    if n <= _BLOCK_ROWS:
+        out = space.pair_rows(*rows)
+    else:
+        out = np.empty(n)
+        for lo, hi in _row_blocks(n, _BLOCK_ROWS):
+            out[lo:hi] = space.pair_rows(*(A[lo:hi] if A.shape[0] > 1 else A for A in rows))
+    return _times_pow2(out, ex + ey, "the 2-norm of row {i}")
 
 
 def two_norm(space: SpaceSpec, x, y) -> float:

@@ -447,12 +447,14 @@ def test_solve_many_basis_vectors(tmp_path, capsys):
 
 
 # Reports whose bytes must not move when the batch layer changes: SHA-256 and
-# length of stdout, as written by the unblocked kernel with per-row validation
-# (numpy 2.4.6 with OpenBLAS, x86-64).  The sweeps run past one kernel block
-# and print every violation's values; the sequences evaluate 7140 Cauchy pairs.
-# The problem reports (solve, the grid oracle, distance, certificate,
-# uniqueness) come from one engine run from the origin; blend runs no engine,
-# and ``certificate`` on White is the error payload.
+# length of stdout (numpy 2.4.6 with OpenBLAS, x86-64), in which every 2-norm
+# row has the bits it has inside any batch, a 1-row batch included: the White
+# kernel takes a 1-row operand through the many-row matmul (BLAS gemm).  The
+# sweeps run past one kernel block and print every violation's values; the
+# sequences evaluate 7140 Cauchy pairs.  The problem reports (solve, the grid
+# oracle, distance, certificate, uniqueness) come from one engine run from the
+# origin; blend runs no engine, and ``certificate`` on White is the error
+# payload.
 
 WHITE3 = {"kind": "white_polynomial", "degree": 3, "points": [0, 0.125, 0.25, 0.5, 0.75, 1]}
 
@@ -553,7 +555,7 @@ GOLDEN = {
     ),
     "distance-white": (
         "distance", [], golden_problem(WHITE5, 6, 1, 2), 0, 174,
-        "10dfabab1e09ea09e915f571f974f941b19e56032e40643861b478d2cec1adb6",
+        "51d763b3e05c7104700deb471df8b0c728729e033f8727abe5f28d58e10f485f",
     ),
     "certificate-white": (
         "certificate", [], golden_problem(WHITE5, 6, 1, 2), 1, 97,
@@ -565,7 +567,7 @@ GOLDEN = {
     ),
     "blend-white": (
         "blend", [], golden_problem(WHITE5, 6, 3, 2), 0, 1097,
-        "958fb463dedb0e0aa2ca3e3b67ce2cb7cee902221a28271a7766871472e457b2",
+        "3cd1fc68f9c7aff9288c4573023dd65a91f37a41cb509f083b7865de7bc84a18",
     ),
 }
 
@@ -635,11 +637,11 @@ BLOCK_EDGE_DIGESTS = {
     ("norm_limit_check", "euclid", 16385):
         "e3b3a18902352ba38bfc0df612e77443da65954057e5b02ae01c220f83d680af",
     ("norm_limit_check", "white", 2):
-        "1347edaf8675458b09b3799f0aa6585534b93b6c3e47b64e610a3563c5333cfd",
+        "ca2a75071cbef337eee4e427b44c07e6a771a7b87a6f43a9ffbe470b9104c322",
     ("norm_limit_check", "white", 8191):
         "5adc653083c49e9d9378c33d98815312661c930e85ed05f24f0c0b43c813628b",
     ("norm_limit_check", "white", 8192):
-        "f4e5815338e79c7ea1f6536bd32636471ebae1ca33ca642cddb9ef88afbf4f54",
+        "0914dd4782c196db2d8ab1e472c0224890d2de3b4404fffbe609026c47860c2d",
     ("norm_limit_check", "white", 8193):
         "6013b3dffa69e12629698967fab048a730355eda7b3e056ef3975fcb3a221f08",
     ("norm_limit_check", "white", 16385):
