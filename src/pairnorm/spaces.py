@@ -124,6 +124,13 @@ def _gram_area(
     return area
 
 
+# Near-dependent areas below this are evaluated once more on their rows
+# divided by powers of two.  The area is sqrt(|x| |y - cx x| |y| |x - cy y|),
+# and xx |y - cx x|^2 must stay above 2^-1022, where products turn subnormal
+# and lose low bits: at the cutoff it is about 2^-900, a margin of 2^122.
+_TINY_AREA = 2.0**-450
+
+
 def _residual_area(
     X: np.ndarray, Y: np.ndarray, xx: np.ndarray, yy: np.ndarray, xy: np.ndarray
 ) -> np.ndarray:
@@ -132,8 +139,35 @@ def _residual_area(
 
     |x| |y - cx x| is accurate to machine absolute error, and the geometric
     mean of the two one-sided areas keeps the result bitwise symmetric in
-    (x, y) because float multiplication commutes.
+    (x, y) because float multiplication commutes.  A row whose area is
+    nonzero and below ``_TINY_AREA`` is evaluated once more, not
+    recursively, with x and y each divided by the power of two at or below
+    its largest entry and xx, yy and xy scaled to match, and the area
+    multiplied back: so ||2^a x, 2^a y|| = 2^(2a) ||x, y|| to the bit there
+    too.  Power-of-two scaling is exact, so a row that lost no bits keeps
+    them.
     """
+    area = _one_residual_pass(X, Y, xx, yy, xy)
+    tiny = np.flatnonzero((area > 0.0) & (area < _TINY_AREA))
+    if tiny.size:
+        rows = (X, Y, xx, yy, xy)
+        X, Y, xx, yy, xy = (A.take(tiny, axis=0) if A.shape[0] > 1 else A for A in rows)
+        ex, ey = (np.frexp(np.abs(A).max(axis=1))[1] - 1 for A in (X, Y))
+        scaled = _one_residual_pass(
+            np.ldexp(X, -ex[:, None]),
+            np.ldexp(Y, -ey[:, None]),
+            np.ldexp(xx, -2 * ex),
+            np.ldexp(yy, -2 * ey),
+            np.ldexp(xy, -ex - ey),
+        )
+        area[tiny] = np.ldexp(scaled, ex + ey)
+    return area
+
+
+def _one_residual_pass(
+    X: np.ndarray, Y: np.ndarray, xx: np.ndarray, yy: np.ndarray, xy: np.ndarray
+) -> np.ndarray:
+    """The residual form of :func:`_residual_area` on rows as given."""
     cx = xy / xx
     cy = xy / yy
     # The residuals y - cx x and then x - cy y share one buffer, and the

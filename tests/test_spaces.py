@@ -351,8 +351,9 @@ def test_power_of_two_homogeneity_property(space):
 
 
 # Two pairs the property above leaves out by its near-dependence
-# precondition: rows in range whose scaled pair makes a product of
-# _gram_area subnormal, so the value loses low bits.
+# precondition: rows in range whose scaled pair makes a product of the
+# residual form subnormal.  Their areas are below spaces._TINY_AREA, so the
+# kernel evaluates them once more on rows scaled to peak in [1, 2).
 NEAR_DEPENDENT = [([1, 1], [1, 1 + 2.0**-30], -249), ([1, 0, 0], [1, 0, 2.66e-170], 26)]
 
 
@@ -370,11 +371,43 @@ def test_near_dependent_pair_keeps_absolute_accuracy(x, y, a):
     assert abs(got - expected) <= np.finfo(float).eps * scale
 
 
-@pytest.mark.xfail(strict=True, reason="a subnormal _gram_area product loses low bits")
 @pytest.mark.parametrize("x, y, a", NEAR_DEPENDENT)
 def test_near_dependent_pair_power_of_two_homogeneity(x, y, a):
     got, expected = scaled_pair(x, y, a)
     assert got == expected
+
+
+@pytest.mark.parametrize(
+    "t, passes",
+    [
+        (2.0**-450, 1),  # at the cutoff
+        (np.nextafter(2.0**-450, 1.0), 1),
+        (np.nextafter(2.0**-450, 0.0), 2),  # below it: once more, scaled
+        (2.0**-500, 2),  # still below it when scaled: no third pass
+    ],
+    ids=["at", "above", "below", "far-below"],
+)
+def test_tiny_areas_take_one_scaled_pass(t, passes, monkeypatch):
+    # ||[1, 0], [1, t]|| = t exactly, by the residual form
+    one_pass, calls = spaces._one_residual_pass, []
+
+    def counted(*rows):
+        calls.append(rows)
+        return one_pass(*rows)
+
+    monkeypatch.setattr(spaces, "_one_residual_pass", counted)
+    assert two_norm(EuclideanGram(2), [1.0, 0.0], [1.0, t]) == t
+    assert len(calls) == passes
+
+
+def test_subnormal_residual_product_below_the_cutoff():
+    # scaled by 2^-40 the pair's xx |y - cx x|^2 = 2^-80 t^2 is subnormal:
+    # one pass loses low bits, and the scaled second pass gives them back
+    t = np.nextafter(2.0**-450, 0.0)
+    x, y = np.ldexp([1.0, 0.0], -40), np.ldexp([1.0, t], -40)
+    squares = (np.array([v]) for v in (x @ x, y @ y, x @ y))
+    assert spaces._one_residual_pass(x[None, :], y[None, :], *squares)[0] != np.ldexp(t, -80)
+    assert two_norm(EuclideanGram(2), x, y) == np.ldexp(t, -80)
 
 
 # The two-branch EuclideanGram kernel against an exact rational reference,
