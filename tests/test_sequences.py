@@ -251,8 +251,8 @@ def unchunked_sups(space, seq, tail_from):
 @pytest.mark.parametrize("chunk", [46, 45, 44, 22, 2])
 def test_cauchy_chunks_keep_bits(space, chunk, monkeypatch):
     # a 10-element tail has 45 pairs: one chunk short of, equal to and
-    # beyond the pair count, and chunkings whose last chunk would hold one
-    # pair (45 = 44 + 1 = 2 * 22 + 1 = 22 * 2 + 1); that last pair, of the
+    # beyond the pair count, and chunkings whose last chunk holds one pair
+    # (45 = 44 + 1 = 2 * 22 + 1 = 22 * 2 + 1); that last pair, of the
     # last two elements, is the widest, so its bits decide both suprema
     rng = np.random.default_rng(chunk)
     elements = rng.uniform(-1, 1, (13, 4))
@@ -267,8 +267,8 @@ def test_cauchy_chunks_keep_bits(space, chunk, monkeypatch):
 @pytest.mark.parametrize("n", [2, 3, 17, 1000])
 @pytest.mark.parametrize("degree", [2, 3, 5])
 def test_white_probe_series_match_tiled_bits(n, degree):
-    # the probe is passed once, yet every value has the bits of a tiled
-    # probe; a 1-row matmul would round differently on this space
+    # the probe is passed as one row, yet every value has the bits of a
+    # tiled probe, though BLAS rounds a 1-row matmul differently
     space = WhitePolynomial(degree, tuple(np.linspace(0.0, 1.0, 2 * degree)))
     rng = np.random.default_rng([n, degree])
     elements = rng.uniform(-1, 1, (n, degree + 1))
@@ -286,8 +286,8 @@ def test_white_probe_series_match_tiled_bits(n, degree):
 @pytest.mark.parametrize("space", [EuclideanGram(4), WHITE3])
 @pytest.mark.parametrize("rows", [2, 3, 7])
 def test_streamed_sequence_checks_keep_bits(space, rows, monkeypatch):
-    # blocks of a few rows, a 1-row remainder folded in, against the
-    # unblocked series
+    # blocks of a few rows, the last of one row when rows = 3 or 7, against
+    # the unblocked series
     rng = np.random.default_rng(rows)
     elements = rng.uniform(-1, 1, (22, 4))
     limit, probe, other = rng.uniform(-1, 1, (3, 4))

@@ -30,7 +30,6 @@ from pairnorm.jsonio import to_dict
 from pairnorm.spaces import (
     _BLOCK_ROWS,
     _SWEEP_ROWS,
-    _gram_area,
     _row_blocks,
     _uniform_blocks,
     as_direction,
@@ -514,31 +513,66 @@ def test_pair_at_the_cutoff_is_symmetric(x, y, area):
     assert two_norm(space, x, past) == two_norm(space, past, x) > 0.0
 
 
-# The blocked EuclideanGram kernel against one unblocked call of its body.
+# The blocked kernels against one unblocked call, and every row against
+# itself evaluated alone.
 
 BLOCK_NS = [1, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1, 100_000]
 
 
+def white(degree):
+    return WhitePolynomial(degree, np.linspace(0.0, 1.0, 2 * degree))
+
+
+def space_id(space):
+    return ("" if space.norm_ord == 2 else "white-") + str(element_dim(space))
+
+
 def one_kernel_call(space, X, Y):
-    """The kernel body over every row at once: one ``_gram_area`` call on
-    ``EuclideanGram``, the one-matmul ``pair_rows`` on ``WhitePolynomial``."""
-    if space.norm_ord == 2:
-        return _gram_area(X, Y, *(np.einsum("ij,ij->i", A, A) for A in (X, Y)))
-    return space.pair_rows(X, Y)
+    """The space's ``pair_rows`` kernel over every row at once, with no
+    block loop, given the squared norms on ``EuclideanGram``."""
+    squares = [np.einsum("ij,ij->i", A, A) for A in (X, Y)] if space.norm_ord == 2 else []
+    return space.pair_rows(X, Y, *squares)
 
 
-@pytest.mark.parametrize("d", [2, 8, 16])
+@pytest.mark.parametrize(
+    "space",
+    [EuclideanGram(2), EuclideanGram(8), EuclideanGram(16), white(1), white(3), white(6)],
+    ids=space_id,
+)
 @pytest.mark.parametrize("n", BLOCK_NS)
-def test_blocked_kernel_keeps_bits(n, d):
+def test_blocked_kernel_keeps_bits(n, space):
+    d = element_dim(space)
     rng = np.random.default_rng(n * 31 + d)
     X = rng.standard_normal((n, d))
     Y = rng.standard_normal((n, d))
-    space = EuclideanGram(d)
     assert np.array_equal(two_norm_rows(space, X, Y), one_kernel_call(space, X, Y))
     # one row against every row of the other operand, in either slot
     y = Y[:1]
     assert np.array_equal(two_norm_rows(space, X, y), one_kernel_call(space, X, y))
     assert np.array_equal(two_norm_rows(space, y, X), one_kernel_call(space, y, X))
+
+
+@pytest.mark.parametrize(
+    "space",
+    [EuclideanGram(2), EuclideanGram(8), EuclideanGram(16), *map(white, range(1, 8))],
+    ids=space_id,
+)
+def test_rows_are_batch_independent(space):
+    # a row's 2-norm has the same bits in a batch of any length, at any
+    # offset, and as a 1-row operand in either slot
+    d = element_dim(space)
+    rng = np.random.default_rng(d + 100 * space.norm_ord)
+    for n in [1, 2, _BLOCK_ROWS - 1, _BLOCK_ROWS, _BLOCK_ROWS + 1, 2 * _BLOCK_ROWS + 1]:
+        X = rng.standard_normal((n, d))
+        Y = rng.standard_normal((n, d))
+        out = two_norm_rows(space, X, Y)
+        assert out.tolist() == [two_norm(space, x, y) for x, y in zip(X, Y)]
+        edges = [0, n - 1, *range(_BLOCK_ROWS - 1, n, _BLOCK_ROWS)]
+        for i in {*edges, *rng.integers(0, n, 4).tolist()}:
+            assert two_norm_rows(space, X, Y[i : i + 1])[i] == out[i]
+            assert two_norm_rows(space, X[i : i + 1], Y)[i] == out[i]
+    with pytest.raises(ValueError, match="shape mismatch"):
+        two_norm_rows(space, X, Y[:2])
 
 
 def pow2_exponents(X):
@@ -561,9 +595,8 @@ def scaled_reference(space, X, Y):
 
 @pytest.mark.parametrize(
     "space",
-    [EuclideanGram(2), EuclideanGram(8), EuclideanGram(16), WHITE1,
-     WhitePolynomial(3, np.linspace(0.0, 1.0, 6)), WhitePolynomial(7, np.linspace(0.0, 1.0, 14))],
-    ids=lambda space: ("" if space.norm_ord == 2 else "white-") + str(element_dim(space)),
+    [EuclideanGram(2), EuclideanGram(8), EuclideanGram(16), WHITE1, white(3), white(7)],
+    ids=space_id,
 )
 def test_blocked_kernel_rescaled_rows_at_block_edges(space):
     d = element_dim(space)
