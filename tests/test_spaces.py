@@ -691,8 +691,8 @@ def test_zero_direction_message_everywhere():
     ],
 )
 def test_row_blocks_fold_a_one_row_remainder(n, blocks):
-    # no longer folded: a 1-row remainder is a block of its own, since both
-    # kernels give a row the same bits in any batch
+    # a 1-row remainder is a block of its own: both kernels give a row the
+    # same bits in any batch
     assert _row_blocks(n) == blocks
 
 
