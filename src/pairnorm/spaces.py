@@ -148,6 +148,8 @@ def _residual_area(
     them.
     """
     area = _one_residual_pass(X, Y, xx, yy, xy)
+    if np.minimum.reduce(area, initial=np.inf) >= _TINY_AREA:
+        return area  # the usual case, without the masks' temporaries
     tiny = np.flatnonzero((area > 0.0) & (area < _TINY_AREA))
     if tiny.size:
         rows = (X, Y, xx, yy, xy)
