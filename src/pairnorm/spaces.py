@@ -261,19 +261,21 @@ class WhitePolynomial:
         return V, Vd
 
     def pair_rows(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """sum_k |f(t_k) g'(t_k) - f'(t_k) g(t_k)| over paired rows.
+        """sum_k |f(t_k) g'(t_k) - f'(t_k) g(t_k)| over paired rows."""
+        (fv, fd), (gv, gd) = self._at_points(X), self._at_points(Y)
+        return np.abs(fv * gd - fd * gv).sum(axis=1)
+
+    def _at_points(self, A: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Values and derivatives of the rows of ``A`` at the sample points.
 
         A row takes the same bits in any batch: BLAS rounds a many-row
         matmul (gemm) alike for every row, but a 1-row one (gemv)
-        differently, so a 1-row operand is evaluated as two copies of
-        itself and the first row kept."""
+        differently, so one row is evaluated as two copies of itself."""
         V, Vd = self.tables
-        fv, fd, gv, gd = (
-            (np.repeat(A, 2, axis=0) @ T)[:1] if A.shape[0] == 1 else A @ T
-            for A in (X, Y)
-            for T in (V.T, Vd.T)
-        )
-        return np.abs(fv * gd - fd * gv).sum(axis=1)
+        if A.shape[0] != 1:
+            return A @ V.T, A @ Vd.T
+        A = np.concatenate((A, A))
+        return (A @ V.T)[:1], (A @ Vd.T)[:1]
 
     def seminorm_map(self, bv: np.ndarray) -> np.ndarray:
         """Row k is b'(t_k) V[k] - b(t_k) Vd[k], for a validated direction ``bv``."""
