@@ -480,12 +480,11 @@ def two_norm_rows(space: SpaceSpec, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     Y = np.atleast_2d(np.asarray(Y, dtype=float))
     (X, ex, xx), (Y, ey, yy) = _range_scaled(X), _range_scaled(Y)
     rows = (X, Y, xx, yy) if space.norm_ord == 2 else (X, Y)  # only Gram reads the squares
-    n = np.broadcast_shapes(X.shape[:1], Y.shape[:1])[0]
-    if n <= _BLOCK_ROWS:
+    if max(len(X), len(Y)) <= _BLOCK_ROWS:  # the kernel's broadcasting checks the row counts
         out = space.pair_rows(*rows)
     else:
-        out = np.empty(n)
-        for lo, hi in _row_blocks(n, _BLOCK_ROWS):
+        out = np.empty(np.broadcast_shapes(X.shape[:1], Y.shape[:1]))
+        for lo, hi in _row_blocks(len(out), _BLOCK_ROWS):
             out[lo:hi] = space.pair_rows(*(A[lo:hi] if A.shape[0] > 1 else A for A in rows))
     return _times_pow2(out, ex + ey, "the 2-norm of row {i}")
 

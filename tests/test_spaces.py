@@ -571,8 +571,9 @@ def test_rows_are_batch_independent(space):
         for i in {*edges, *rng.integers(0, n, 4).tolist()}:
             assert two_norm_rows(space, X, Y[i : i + 1])[i] == out[i]
             assert two_norm_rows(space, X[i : i + 1], Y)[i] == out[i]
-    with pytest.raises(ValueError, match="shape mismatch"):
-        two_norm_rows(space, X, Y[:2])
+        if n > 1:  # one row more in Y than in X
+            with pytest.raises(ValueError):
+                two_norm_rows(space, X, np.vstack([Y, Y[:1]]))
 
 
 def pow2_exponents(X):
@@ -686,7 +687,11 @@ def test_zero_direction_message_everywhere():
         (_SWEEP_ROWS + 2, [(0, _SWEEP_ROWS), (_SWEEP_ROWS, _SWEEP_ROWS + 2)]),
         (
             2 * _SWEEP_ROWS + 1,
-            [(0, _SWEEP_ROWS), (_SWEEP_ROWS, 2 * _SWEEP_ROWS), (2 * _SWEEP_ROWS, 2 * _SWEEP_ROWS + 1)],
+            [
+                (0, _SWEEP_ROWS),
+                (_SWEEP_ROWS, 2 * _SWEEP_ROWS),
+                (2 * _SWEEP_ROWS, 2 * _SWEEP_ROWS + 1),
+            ],
         ),
     ],
 )
