@@ -567,8 +567,8 @@ def test_rows_are_batch_independent(space):
         Y = rng.standard_normal((n, d))
         out = two_norm_rows(space, X, Y)
         assert out.tolist() == [two_norm(space, x, y) for x, y in zip(X, Y)]
-        edges = [0, n - 1, *range(_BLOCK_ROWS - 1, n, _BLOCK_ROWS)]
-        for i in {*edges, *rng.integers(0, n, 4).tolist()}:
+        edges = {k for lo in range(_BLOCK_ROWS, n, _BLOCK_ROWS) for k in (lo - 1, lo)}
+        for i in {0, n - 1, *edges, *rng.integers(0, n, 4).tolist()}:
             assert two_norm_rows(space, X, Y[i : i + 1])[i] == out[i]
             assert two_norm_rows(space, X[i : i + 1], Y)[i] == out[i]
         if n > 1:  # one row more in Y than in X
