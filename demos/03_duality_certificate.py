@@ -8,6 +8,7 @@ import numpy as np
 from pairnorm import (
     EuclideanGram,
     SubspaceBasis,
+    WhitePolynomial,
     certificate,
     certificate_soundness,
     distance_to_subspace,
@@ -65,3 +66,19 @@ delta2, _ = distance_to_subspace(gram, 2.0 * x0, basis, b)
 cert2 = certificate(gram, 2.0 * x0, basis, b)
 print(f"    delta(2 x0) = {delta2:.6f} = 2 * {delta:.6f}")
 print(f"    h(2 x0 scale) / h = {cert2.functional[0] / cert.functional[0]:.3f}")
+print()
+
+print("The same construction certifies a distance on White's polynomial space,")
+print("where p_b is an l1 norm and the solve is a linear program: h comes from")
+print("the multipliers of its final basis, by the same formula h = M^T u / (u . M x0).")
+white = WhitePolynomial(degree=3, points=(0.0, 0.125, 0.25, 0.5, 0.75, 1.0))
+x0 = rng.uniform(-1.0, 1.0, 4)
+basis = SubspaceBasis(white, rng.uniform(-1.0, 1.0, (2, 4)))
+b = rng.uniform(-1.0, 1.0, 4)
+cert = certificate(white, x0, basis, b)
+sound = certificate_soundness(white, cert, x0, basis, b, samples=2000, seed=5)
+h = np.asarray(cert.functional)
+print(f"    delta = {cert.delta:.6f} at w* = {np.round(cert.w_star, 6)}")
+print(f"    h(x0) = {float(h @ x0):+.3e}, worst |h| on the basis = {sound.h_on_basis_max:.3e}")
+print(f"    sup |h(u)| / ||u, b|| = {sound.max_ratio:.6f} <= 1/delta = {sound.bound:.6f}")
+print(f"    certified bound holds: {sound.passed}")

@@ -25,7 +25,7 @@ order has one engine, chosen in ``_engine`` by the space's ``norm_ord``:
 ``oracle_solve`` is an independent grid search (k <= 3), exact over its
 lattice, used as ground truth in tests.  ``distance_to_subspace`` and
 ``set_distance`` specialize the problem to one target and to a set,
-``certificate`` builds the dual functional witnessing a Euclidean distance,
+``certificate`` turns a distance solve's dual into the functional proving it,
 ``blend_check`` exercises convexity of the argmin set, and
 ``uniqueness_probe`` reports the exact optimal set: one point by strict
 convexity on ``EuclideanGram``, the extreme points of the optimal face on
@@ -44,6 +44,7 @@ from .spaces import (
     _SV_RATIO_MIN,
     SpaceSpec,
     _check_sweep,
+    _check_tol,
     _range_scaled,
     _row_norms,
     _sv_ratio,
@@ -86,12 +87,12 @@ class SolverConfig:
 
     * ``max_iters``: the cap on the pivots of each solve, active-set pivots
       on ``EuclideanGram`` and simplex pivots on ``WhitePolynomial``.
-    * ``tol``: a solve converges when its value v and certified lower
-      bound L satisfy v - L <= ``tol * (1 + v)``.  On ``EuclideanGram`` v and
-      L are the square roots of the primal and dual values of the squared
-      objective; on ``WhitePolynomial`` they are the primal and dual values
-      of the linear program, and the simplex must also have stopped with no
-      negative reduced cost.
+    * ``tol``, positive and finite: a solve converges when its value v and
+      certified lower bound L satisfy v - L <= ``tol * (1 + v)``.  On
+      ``EuclideanGram`` v and L are the roots of the primal and dual values
+      of the squared objective; on ``WhitePolynomial`` the primal and dual
+      values of the linear program, and the simplex must also have stopped
+      with no negative reduced cost.
     * ``restarts``, ``seed`` and ``step0``: read by no engine, since each
       solve runs once from the origin, and set by no CLI flag.  They are
       problem-file keys only, still parsed, validated and echoed in the
@@ -107,8 +108,7 @@ class SolverConfig:
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not (self.tol > 0.0):
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        _check_tol(self.tol)
         if self.restarts < 1:
             raise ValueError(f"restarts must be >= 1, got {self.restarts}")
         if not (self.step0 > 0.0):
@@ -231,6 +231,11 @@ class _Objective:
             self.lipschitz = float(np.sqrt(np.einsum("ij,ij->j", self.BM, self.BM)).sum())
         else:
             self.lipschitz = float(np.linalg.norm(self.BM, 2))
+        # A value is at most max_i |TM_i| + L |c|_2: up to |c|_2 = reach, c, the
+        # values and (l2) their squares stay below a quarter of the float range.
+        top = float(np.finfo(float).max) / 4.0
+        room = (top if self.l1 else math.sqrt(top) / 2.0) - float(self._norm_rows(self.TM).max())
+        self.reach = min(top, room / self.lipschitz if self.lipschitz else math.inf)
 
     def _norm_rows(self, R: np.ndarray) -> np.ndarray:
         if self.l1:
@@ -266,12 +271,15 @@ class _EngineResult:
     """An optimal point; ``bound`` is its certified lower bound.  ``coeffs``
     are over the basis rows as the range rule scaled them, in units of the
     targets' 2^et (so those of the basis itself when every row is in
-    range); :func:`_engine` sets ``point`` from them."""
+    range); :func:`_engine` sets ``point`` from them.  The optimum's ``dual``
+    holds the engine's multipliers u_i of the residuals M (f_i - g), one row
+    per target, up to a positive factor: sum_i u_i . M g = 0 on the span."""
     coeffs: np.ndarray
     value: float
     bound: float
     iterations: int
     converged: bool
+    dual: Optional[np.ndarray] = None
     point: Optional[np.ndarray] = None
 
 
@@ -336,7 +344,7 @@ def _hull_pivot(
 
 def _active_set(
     q: np.ndarray, w: np.ndarray, max_pivots: int
-) -> tuple[np.ndarray, float, float, int]:
+) -> tuple[np.ndarray, list[int], np.ndarray, float, float, int]:
     """Solve min_x max_i |x - q_i|^2 + w_i.
 
     Dual: maximize D(lam) = sum_i lam_i (|q_i|^2 + w_i) - |sum_i lam_i q_i|^2
@@ -347,8 +355,8 @@ def _active_set(
     ends when no target lies outside the ball of the support, when D stops
     increasing (rounding), or after ``max_pivots`` pivots.
 
-    Returns x, the primal value P = max_i |x - q_i|^2 + w_i, the certified
-    dual value D(lam) <= P at the final weights, and the pivot count.
+    Returns x, the final support and its weights lam, the primal value P =
+    max_i |x - q_i|^2 + w_i, the dual value D(lam) <= P, and the pivots.
     """
     support = [int(np.argmax(_power(q, w, np.zeros(q.shape[1]))))]
     lam = np.ones(1)
@@ -376,7 +384,7 @@ def _active_set(
             support = [i for i, kept in zip(support, keep) if kept]
             lam = lam[keep]
             settled = settled or len(support) == 1
-    return x, float(f.max()), dual, pivots
+    return x, support, lam, float(f.max()), dual, pivots
 
 
 def _enclosing_ball(
@@ -387,14 +395,16 @@ def _enclosing_ball(
     p_b(f_i - B^T c)^2 equals |x - q_i|^2 + w_i at x = R c, where q_i = Q^T y_i
     and w_i = |y_i - Q q_i|^2 is what no x can reach.  M comes scaled so
     that the y_i are of order one (see :func:`_engine`), so every square is
-    representable."""
+    representable.  The dual rows are lam_i (y_i - Q x)."""
     Y = targets @ M.T
     Q, R = np.linalg.qr(M @ basis.T)
     q = Y @ Q
     resid = Y - q @ Q.T
     w = np.einsum("ij,ij->i", resid, resid)
-    x, primal, dual, pivots = _active_set(q, w, cfg.max_iters)
-    return _EngineResult(np.linalg.solve(R, x), math.sqrt(primal), math.sqrt(dual), pivots, True)
+    x, support, lam, primal, dual, pivots = _active_set(q, w, cfg.max_iters)
+    u = np.zeros_like(Y)
+    u[support] = lam[:, None] * (Y[support] - Q @ x)
+    return _EngineResult(np.linalg.solve(R, x), math.sqrt(primal), math.sqrt(dual), pivots, True, u)
 
 
 # ---------------------------------------------------------------------------
@@ -566,6 +576,7 @@ def _linear_program(
     best = solution(basic, pivots, optimal)
     pi = np.linalg.solve(A[:, basic].T, cost[basic])
     best.bound = float(pi[:mp] @ Y.ravel())
+    best.dual = pi[:mp].reshape(m, p)
     out = [best]
     if face:
         zero = np.abs(tab[-1, :-1]) <= _LP_EPS  # columns that keep t optimal
@@ -682,7 +693,8 @@ def oracle_solve(
     lattice that a Lipschitz bound cannot rule out, so its cost follows the
     region near the minimum rather than the whole resolution^k lattice.
     Used as ground truth for :func:`solve` on small problems; the lattice
-    still grows as resolution^k, hence the cap on k.
+    still grows as resolution^k, hence the cap on k.  A radius whose values
+    could leave the float range is refused (see ``_Objective.reach``).
     """
     k = problem.g_basis.k
     if k > 3:
@@ -697,6 +709,9 @@ def oracle_solve(
         return objective(problem, g), g
 
     obj = _Objective(problem.space, problem.targets, problem.g_basis.matrix, problem.b)
+    limit = obj.reach / math.sqrt(k) * (resolution - 1) / (resolution + 1)  # + one coarse step
+    if radius > limit:
+        raise ValueError(f"radius {radius!r} is beyond {limit:.3e}, the grid oracle's float range")
     axes = [np.linspace(-radius, radius, resolution)] * k
     best_val, best_c = _grid_min(obj, axes)
 
@@ -779,16 +794,16 @@ def _grid_min(obj: _Objective, axes: list[np.ndarray]) -> tuple[float, np.ndarra
 
 def _fit(
     space: SpaceSpec, targets: np.ndarray, w_basis, b, cfg: Optional[SolverConfig] = None
-) -> tuple[float, np.ndarray, bool]:
-    """inf over w in span(w_basis) of max_i ||targets_i - w, b|| for validated
-    ``targets``: the value, a minimizer w and whether the engine converged."""
+) -> _EngineResult:
+    """The engine's optimum of inf over w in span(w_basis) of max_i
+    ||targets_i - w, b|| for validated ``targets``, ``value`` by the kernel."""
     w_basis = _as_basis(space, w_basis)
     bv = as_direction(space, b)
     if not _independent_from_span(w_basis.matrix, bv):
         raise ValueError("b must be linearly independent from the subspace span")
     res = _engine(space, targets, w_basis.matrix, bv, cfg or SolverConfig())[0]
-    value = two_norm_rows(space, targets - res.point, bv[None, :]).max()
-    return float(value), res.point, res.converged
+    res.value = float(two_norm_rows(space, targets - res.point, bv[None, :]).max())
+    return res
 
 
 def distance_to_subspace(
@@ -802,9 +817,8 @@ def distance_to_subspace(
     a linear program (a weighted l1 fit).  ``cfg`` sets the pivot budget and
     the gap tolerance as in :func:`solve`.
     """
-    x0v = as_element(space, x0, "x0")
-    delta, w_star, _ = _fit(space, x0v[None, :], w_basis, b, cfg)
-    return delta, w_star
+    res = _fit(space, as_element(space, x0, "x0")[None, :], w_basis, b, cfg)
+    return res.value, res.point
 
 
 def set_distance(
@@ -814,7 +828,7 @@ def set_distance(
     targets = as_elements(space, a_set, "a_set")
     if not targets.shape[0]:
         raise ValueError("a_set must be nonempty")
-    return _fit(space, targets, w_basis, b, cfg)[0]
+    return _fit(space, targets, w_basis, b, cfg).value
 
 
 @dataclass
@@ -824,45 +838,42 @@ class Certificate:
     ``functional`` holds coordinates of a linear functional h with h = 0 on
     the subspace and h(x0) = 1; the induced bilinear form F(x, beta*b) =
     beta * h(x) has operator norm 1/delta against the 2-norm, attained along
-    the residual direction x0 - w_star.
+    the residual direction x0 - w_star, with ``w_star`` from the same solve.
     """
 
     functional: np.ndarray
     delta: float
-
-
-def _require_l2(space: SpaceSpec) -> None:
-    if space.norm_ord != 2:
-        raise ValueError("certificates are only constructed for EuclideanGram spaces")
+    w_star: np.ndarray
 
 
 def certificate(space: SpaceSpec, x0, w_basis, b) -> Certificate:
     """Construct the dual certificate for ``distance_to_subspace``.
 
-    Only implemented for ``EuclideanGram``, where the b-orthogonal projection
-    makes the residual explicit.  Requires the distance to exceed 1e-9 times
-    ||x0, b||; an x0 inside the subspace (modulo the b line) has no
+    On both spaces h = M^T u / (u . M x0), with M = ``seminorm_map(b)`` and
+    u the solve's dual: |h(x)| <= |u|_* |M x| / (u . M x0) = p_b(x) / delta
+    in the dual norm (Singer 1970).  Requires the distance to exceed 1e-9
+    times ||x0, b||; an x0 inside the subspace (modulo the b line) has no
     separating functional.  x0 and b are brought in range by the range rule
     of ``spaces``, so the certificate of 2^a x0 is that of x0 with h times
-    2^-a and delta times 2^a, to the bit.
+    2^-a and delta and w_star times 2^a, to the bit.
     """
-    _require_l2(space)
     (x0v,), ex, _ = _range_scaled(as_element(space, x0, "x0")[None, :])
     (bv,), eb, _ = _range_scaled(as_element(space, b, "b")[None, :])
     ex, ed = int(np.max(ex)), int(np.max(ex) + np.max(eb))  # of x0 and of delta
-    delta, w_star = distance_to_subspace(space, x0v, w_basis, bv)
+    res = _fit(space, x0v[None, :], w_basis, bv)
+    delta = res.value
     if delta <= 1e-9 * two_norm(space, x0v, bv):
         raise ValueError(
             f"distance {np.ldexp(delta, ed):.3e} is too small; "
             "x0 lies in the subspace modulo b"
         )
-    u = x0v - w_star
-    r = u - bv * float(u @ bv) / float(bv @ bv)
-    h = r / float(r @ x0v)
+    Mu = res.dual[0] @ seminorm_map(space, bv)
+    h = Mu / float(Mu @ x0v)
     _times_pow2(1.0 / delta, -ed, "the operator norm 1/delta")  # must be a float
-    delta = float(_times_pow2(delta, ed, "the distance"))
     return Certificate(
-        functional=_times_pow2(h, -ex, "entry {i} of the functional"), delta=delta
+        functional=_times_pow2(h, -ex, "entry {i} of the functional"),
+        delta=float(_times_pow2(delta, ed, "the distance")),
+        w_star=_times_pow2(res.point, ex, "entry {i} of the optimum"),
     )
 
 
@@ -896,23 +907,20 @@ def certificate_soundness(
     """Sample |F(x, beta*b)| / ||x, beta*b|| and compare against 1/delta.
 
     The ratio must stay below (1/delta) * (1 + ``_RATIO_SLACK``) everywhere
-    and come within ``_ATTAIN_TOL`` * (1/delta) of it along the residual.
+    and come within ``_ATTAIN_TOL`` * (1/delta) of it along x0 - ``w_star``.
     Every test is relative (a sample counts when ||x, beta*b|| > 1e-12 |b|),
     so rescaling x0 or b keeps the verdict.  The samples are drawn and
     evaluated ``spaces._SWEEP_ROWS`` rows at a time, as one whole draw.
     """
-    _require_l2(space)
     _check_sweep(samples)
     x0v = as_element(space, x0, "x0")
     bv = as_element(space, b, "b")
-    w_basis = _as_basis(space, w_basis)
+    basis = _as_basis(space, w_basis).matrix
     h = cert.functional
     b_len, h_len = _row_norms(np.vstack([bv, h]))
 
     max_ratio, kept = 0.0, 0
-    for _, (X, beta) in _uniform_blocks(
-        seed, samples, [(-1.0, 1.0, (space.dim,)), (-1.0, 1.0, ())]
-    ):
+    for _, (X, beta) in _uniform_blocks(seed, samples, [(-1.0, 1.0, x0v.shape), (-1.0, 1.0, ())]):
         numer = np.abs(beta * (X @ h))
         denom = two_norm_rows(space, X, beta[:, None] * bv[None, :])
         ok = denom > 1e-12 * b_len
@@ -920,15 +928,12 @@ def certificate_soundness(
             max_ratio = float((numer[ok] / denom[ok]).max(initial=max_ratio))
         kept += int(np.sum(ok))
 
-    _, w_star = distance_to_subspace(space, x0v, w_basis, bv)
-    witness = x0v - w_star
+    witness = x0v - cert.w_star
     attained = abs(float(h @ witness)) / two_norm(space, witness, bv)
 
     bound = 1.0 / cert.delta
-    h_on_basis = (
-        float(np.max(np.abs(w_basis.matrix @ h))) if w_basis.k else 0.0
-    )
-    basis_len = float(_row_norms(w_basis.matrix).max()) if w_basis.k else 0.0
+    h_on_basis = float(np.abs(basis @ h).max(initial=0.0))
+    basis_len = float(_row_norms(basis).max(initial=0.0))
     h_at_x0 = float(h @ x0v)
     passed = (
         max_ratio <= bound * (1.0 + _RATIO_SLACK)
@@ -937,14 +942,8 @@ def certificate_soundness(
         and abs(h_at_x0 - 1.0) <= 1e-9
     )
     return CertificateSoundness(
-        delta=cert.delta,
-        bound=bound,
-        max_ratio=max_ratio,
-        attained_ratio=float(attained),
-        h_on_basis_max=h_on_basis,
-        h_at_x0=h_at_x0,
-        samples=kept,
-        passed=passed,
+        delta=cert.delta, bound=bound, max_ratio=max_ratio, attained_ratio=attained,
+        h_on_basis_max=h_on_basis, h_at_x0=h_at_x0, samples=kept, passed=passed,
     )
 
 
@@ -980,13 +979,10 @@ def blend_check(
     endpoints are minimizers the whole segment stays optimal.  lam = 1
     reproduces the g1 value bit for bit, lam = 0 the g2 value.
     """
+    _check_tol(tol)
     g1v = as_element(problem.space, g1, "g1")
     g2v = as_element(problem.space, g2, "g2")
-    lams = (
-        np.linspace(0.0, 1.0, 11)
-        if lambdas is None
-        else np.asarray(list(lambdas), dtype=float)
-    )
+    lams = np.linspace(0.0, 1.0, 11) if lambdas is None else np.asarray(list(lambdas), dtype=float)
     if lams.size == 0:
         raise ValueError("lambdas must be nonempty")
     if np.any(lams < 0.0) or np.any(lams > 1.0):
@@ -994,9 +990,7 @@ def blend_check(
     v1 = objective(problem, g1v)
     v2 = objective(problem, g2v)
     if abs(v1 - v2) > tol:
-        raise ValueError(
-            f"blend endpoints differ by {abs(v1 - v2):.3e} > tol={tol:.3e}"
-        )
+        raise ValueError(f"blend endpoints differ by {abs(v1 - v2):.3e} > tol={tol:.3e}")
     base = min(v1, v2)
     report = BlendReport(value_g1=v1, value_g2=v2)
     for lam in lams:

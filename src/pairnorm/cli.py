@@ -112,9 +112,9 @@ def _cmd_distance(args) -> int:
     problem, _ = jsonio.problem_from_dict(jsonio.load_json(args.file))
     _, basis, b = _single_target_parts(problem)
     cfg = _overridden_solver(problem, args)
-    delta, w_star, converged = approx._fit(problem.space, problem.targets, basis, b, cfg)
-    _emit({"delta": delta, "w_star": w_star})
-    return _convergence_exit(converged)
+    res = approx._fit(problem.space, problem.targets, basis, b, cfg)
+    _emit({"delta": res.value, "w_star": res.point})
+    return _convergence_exit(res.converged)
 
 
 def _cmd_solve(args) -> int:

@@ -551,13 +551,19 @@ class AxiomReport(_Verdict):
     violations: list[AxiomViolation] = field(default_factory=list)
 
 
+def _check_tol(tol: float) -> None:
+    """The one rule for every ``tol``: positive and finite, or no check means anything."""
+    if not (0.0 < tol < math.inf):
+        raise ValueError(f"tol must be positive, got {tol!r}")
+
+
 def _check_sweep(samples: int, tol: Optional[float] = None) -> None:
     """Reject a sweep that would test nothing: ``samples`` must be a positive
-    integer and ``tol``, when given, positive."""
+    integer and ``tol``, when given, pass :func:`_check_tol`."""
     if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 1:
         raise ValueError(f"samples must be a positive integer, got {samples!r}")
-    if tol is not None and not (tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol!r}")
+    if tol is not None:
+        _check_tol(tol)
 
 
 def check_axioms(

@@ -221,8 +221,9 @@ def test_solver_config_validation():
         SolverConfig(max_iters=0)
     with pytest.raises(ValueError):
         SolverConfig(restarts=0)
-    with pytest.raises(ValueError):
-        SolverConfig(tol=-1.0)
+    for tol in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^tol must be positive, got {tol!r}$"):
+            SolverConfig(tol=tol)
     with pytest.raises(ValueError):
         SolverConfig(step0=0.0)
 
@@ -290,6 +291,16 @@ def test_oracle_rejects_bad_grid():
         oracle_solve(prob, 1.0, 5)
     with pytest.raises(ValueError):
         oracle_solve(prob, -1.0, 50)
+
+
+@pytest.mark.parametrize("radius", [1e160, 1e308, math.inf])
+def test_oracle_rejects_a_radius_beyond_the_float_range(radius):
+    prob = gram_problem([[1, 1, 0], [1, -1, 0]], [E1])
+    message = r"^radius .* is beyond 3\.286e\+153, the grid oracle's float range$"
+    with pytest.raises(ValueError, match=message):
+        oracle_solve(prob, radius, 101)
+    value, g = oracle_solve(prob, 1e150, 101)
+    assert value == 2**0.5 and not g.any()
 
 
 def test_oracle_never_below_converged_solve():
@@ -450,9 +461,30 @@ def test_certificate_soundness_rejects_no_samples():
             certificate_soundness(GRAM, cert, [1, 1, 0], basis, E3, samples=samples)
 
 
-def test_certificate_gram_only():
-    with pytest.raises(ValueError, match="EuclideanGram"):
-        certificate(WHITE, [0, 1], SubspaceBasis(WHITE, [[1, 0]]), [1, 1])
+def test_white_certificates_are_sound():
+    # h = M^T u / (u . M x0) from the l1 engine's dual, for every degree
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.given(
+        degree=st.integers(1, 6), data=st.data(), seed=st.integers(0, 2**32 - 1)
+    )
+    def check(degree, data, seed):
+        k = data.draw(st.integers(0, degree - 1), label="k")
+        rng = np.random.default_rng(seed)
+        points = np.sort(rng.choice(1000, 2 * degree, replace=False)) / 999
+        space = WhitePolynomial(degree, tuple(points))
+        x0, b, *basis = rng.uniform(-1.0, 1.0, (2 + k, degree + 1))
+        cert = certificate(space, x0, basis, b)
+        snd = certificate_soundness(space, cert, x0, basis, b, samples=500, seed=seed)
+        h = cert.functional
+        assert snd.passed
+        assert abs(h @ x0 - 1.0) <= 1e-9
+        for g in basis:
+            assert abs(h @ g) <= 1e-9 * np.linalg.norm(h) * np.linalg.norm(g)
+        assert cert.delta == distance_to_subspace(space, x0, basis, b)[0]
+
+    check()
 
 
 # ---------------------------------------------------------------- uniqueness

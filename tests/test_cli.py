@@ -272,6 +272,39 @@ def test_blend_mismatched_endpoints(tmp_path, capsys):
     assert "error" in out
 
 
+# Every tol is positive and finite: inf did the work and then failed to
+# print it, nan gave a wrong verdict (exit 3) and -1 blamed the endpoints.
+@pytest.mark.parametrize(
+    "command, tol",
+    [("solve", "inf"), ("check-axioms", "inf"), ("blend", "nan"), ("blend", "-1")],
+)
+def test_tol_must_be_positive_and_finite(tmp_path, capsys, command, tol):
+    payload = dict(SYMMETRIC_PROBLEM, blend={"g1": [0, 0, 0], "g2": [0, 0, 0]})
+    path = write(tmp_path, "in.json", SPACE if command == "check-axioms" else payload)
+    code, out, err = run_cli(capsys, command, path, "--tol", tol)
+    assert code == 1
+    assert out == {"error": {"message": f"tol must be positive, got {float(tol)!r}"}}
+    assert "Traceback" not in err
+
+
+# The grid oracle took inf - inf in its block bounds at radius 1e160 and
+# returned g = -1e160 e1; at 1e308 and inf it blamed g.  Up to 1e150 it
+# prints the optimum, g = 0.
+@pytest.mark.parametrize("radius", ["1e160", "1e308", "inf"])
+def test_oracle_radius_beyond_the_float_range(tmp_path, capsys, radius):
+    payload = dict(POINT_PROBLEM, targets=[[1, 1, 0], [1, -1, 0]])
+    path = write(tmp_path, "in.json", payload)
+    code, out, err = run_cli(capsys, "solve", path, "--oracle", "--radius", radius)
+    assert code == 1
+    message = f"radius {float(radius)!r} is beyond 3.286e+153, the grid oracle's float range"
+    assert out["error"]["message"] == message
+    assert "Warning" not in err and "Traceback" not in err
+    code, out, _ = run_cli(capsys, "solve", path, "--oracle", "--radius", "1e150")
+    assert code == 0
+    assert out["oracle"]["value"] == 1.4142135623730951
+    assert out["oracle"]["g"] == [0.0, 0.0, 0.0]
+
+
 def test_uniqueness_subcommand(tmp_path, capsys):
     path = write(tmp_path, "problem.json", SYMMETRIC_PROBLEM)
     code, out, _ = run_cli(capsys, "uniqueness", path)
@@ -453,8 +486,8 @@ def test_solve_many_basis_vectors(tmp_path, capsys):
 # sweeps run past one kernel block and print every violation's values; the
 # sequences evaluate 7140 Cauchy pairs.  The problem reports (solve, the grid
 # oracle, distance, certificate, uniqueness) come from one engine run from the
-# origin; blend runs no engine, and ``certificate`` on White is the error
-# payload.
+# origin; blend runs no engine, and ``certificate`` builds its functional
+# from that run's dual on both spaces.
 
 WHITE3 = {"kind": "white_polynomial", "degree": 3, "points": [0, 0.125, 0.25, 0.5, 0.75, 1]}
 
@@ -534,8 +567,8 @@ GOLDEN = {
         "f9191e41da26d3fab9d130a0ecff0ac0c20612dbdb7d80483c983b89ad487978",
     ),
     "certificate-euclid": (
-        "certificate", [], golden_problem(EUCLID6, 6, 1, 2), 0, 472,
-        "bd991b066261101bfb9519f26ad257aef88d4637613047b314664f3de09542c3",
+        "certificate", [], golden_problem(EUCLID6, 6, 1, 2), 0, 617,
+        "bb2233a1c7cd27f3c293aebf81e702967c46525e697f3c353928c5ededb1590e",
     ),
     "uniqueness-euclid": (
         "uniqueness", [], golden_problem(EUCLID6, 6, 3, 2), 0, 96,
@@ -558,8 +591,8 @@ GOLDEN = {
         "51d763b3e05c7104700deb471df8b0c728729e033f8727abe5f28d58e10f485f",
     ),
     "certificate-white": (
-        "certificate", [], golden_problem(WHITE5, 6, 1, 2), 1, 97,
-        "9ae2d94585ee441e6ddc408a56569439ffe3377b3efbe081ad8108ccf739b0f2",
+        "certificate", [], golden_problem(WHITE5, 6, 1, 2), 0, 592,
+        "a7f3b8b2a43795e8d212497c3e05edfb74086ee454be33b8067b77b95431788c",
     ),
     "uniqueness-white": (
         "uniqueness", [], golden_problem(WHITE5, 6, 3, 2), 0, 178,
@@ -667,15 +700,25 @@ BLOCK_EDGE_DIGESTS = {
     ("convergence_profile", "white", 16385):
         "14dff2e0e31a58ecd4bfb62f1ded8366920fb6c17f8776fb2fc2149d7b108f18",
     ("certificate_soundness", "euclid", 2):
-        "8c6565c55ff05ab61d41edb86fc9568cefb9f0afef09d98931a7cfeb32ca1532",
+        "f2259c6e5672afceac0b5ac3269b75dd147bf6655fa7acd889f736e6aa98bece",
     ("certificate_soundness", "euclid", 8191):
-        "e9281e16f3a1a5bd22dd97830a5f165b09858392285b41f9bb81c07229e4be93",
+        "fef6b56f9d17a8227412fc233b463fd1525b77fb94ba8b6484e8fa9de102b21f",
     ("certificate_soundness", "euclid", 8192):
-        "06790b6d00a00b17f311bd4326c14ce63090de0f6d20505f171ff04697de882e",
+        "28885e3e649c74f10b87424bbd39d71c75f61d96a9fe00e413ce35f913852d3c",
     ("certificate_soundness", "euclid", 8193):
-        "511c5e365de294aaf863aa4314794aebe84d5674f6639cfc945217581b2b977e",
+        "03e270858801b6ff34637e4c2872f165ef727f888779a29c2a232abd44537983",
     ("certificate_soundness", "euclid", 16385):
-        "374add1c2476db834bf4fa9bbab5dead7b7a21703fccf1608db74f3d8b857ddc",
+        "8fcc3194a0ae4d98eb079387cd7aa03d47726dd6ca64b5ef5e2fa27e6b1afb8d",
+    ("certificate_soundness", "white", 2):
+        "bbb9f7ae580a51e094eaae442570825a226a4c602cd5198fc7dbae5e1e6bf5cf",
+    ("certificate_soundness", "white", 8191):
+        "c545aaddb3683a7663191904c26dd4f21601b6dce9039b1d19e9cff3b0e366d3",
+    ("certificate_soundness", "white", 8192):
+        "2c9c8f32cf73545f5295040f706db5ef3d95ca001c67c869bd6111bf30f0d80d",
+    ("certificate_soundness", "white", 8193):
+        "cf55f63c1ebb309d9b78b5532fef3ba59f4efcdca5644f68b7c2463d263dd1ce",
+    ("certificate_soundness", "white", 16385):
+        "dc8f8cf288994da41a0a32b4a25522518f65f1a68824d6595c0e52453b63f905",
 }
 
 

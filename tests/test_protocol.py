@@ -20,6 +20,8 @@ from pairnorm import (
     EuclideanGram,
     SimultaneousProblem,
     WhitePolynomial,
+    certificate,
+    certificate_soundness,
     objective,
     seminorm_map,
     set_distance,
@@ -64,6 +66,25 @@ def test_approx_imports_no_space_class():
         for alias in node.names
     }
     assert not imported & SPACE_CLASSES
+
+
+def _readers(tree: ast.Module, attrs: set[str]) -> set[str]:
+    """Top-level definitions of ``tree`` (``<module>`` for other statements)
+    that read an attribute named in ``attrs``."""
+    return {
+        getattr(top, "name", "<module>")
+        for top in tree.body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr in attrs
+    }
+
+
+def test_approx_branches_on_norm_ord_in_two_places():
+    # one dispatch point per space: the engine choice and the oracle's norm,
+    # and no code that reads what only one space class has
+    tree = ast.parse((SRC / "approx.py").read_text())
+    assert _readers(tree, {"norm_ord"}) == {"_engine", "_Objective"}
+    assert _readers(tree, {"dim", "degree", "points", "tables"}) == set()
 
 
 EUCLID = SimultaneousProblem(
@@ -126,3 +147,21 @@ def test_used_white_space_is_collected():
     del space
     gc.collect()
     assert ref() is None
+
+
+@pytest.mark.parametrize("problem", [EUCLID, WHITE], ids=["euclid", "white"])
+def test_certificate_and_its_soundness_solve_once(monkeypatch, problem):
+    # the soundness sweep checks h at the w_star the certificate's solve
+    # found, rather than solving the same distance again
+    calls = []
+    engine = approx._engine
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(approx, "_engine", counted)
+    x0, basis, b = problem.targets[-1], problem.g_basis, problem.b
+    cert = certificate(problem.space, x0, basis, b)
+    assert certificate_soundness(problem.space, cert, x0, basis, b, samples=100).passed
+    assert len(calls) == 1
