@@ -93,26 +93,17 @@ class SolverConfig:
       of the squared objective; on ``WhitePolynomial`` the primal and dual
       values of the linear program, and the simplex must also have stopped
       with no negative reduced cost.
-    * ``restarts``, ``seed`` and ``step0``: read by no engine, since each
-      solve runs once from the origin, and set by no CLI flag.  They are
-      problem-file keys only, still parsed, validated and echoed in the
-      report's ``solver`` block, so that files that set them keep parsing.
+
+    Each engine is exact and runs once, so no other knob exists.
     """
 
     max_iters: int = 20000
     tol: float = 1e-6
-    restarts: int = 8
-    seed: int = 0
-    step0: float = 1.0
 
     def __post_init__(self) -> None:
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         _check_tol(self.tol)
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
-        if not (self.step0 > 0.0):
-            raise ValueError(f"step0 must be positive, got {self.step0}")
 
 
 class SubspaceBasis:
@@ -252,7 +243,10 @@ class _Objective:
 
 @dataclass
 class RestartResult:
-    start: list[float]
+    """The engine's one run: its ``value``, its pivot count ``iterations``
+    and whether its certified gap met ``tol``.  The name and the list
+    around it in :class:`SolveReport` stay because the benchmark reads
+    ``per_restart[].value`` and ``.iterations``."""
     value: float
     iterations: int
     converged: bool
@@ -665,8 +659,8 @@ def solve(problem: SimultaneousProblem) -> SolveReport:
 
     Deterministic for a fixed problem.  The exact engine of the space, the
     active-set method on ``EuclideanGram`` and the simplex method on
-    ``WhitePolynomial``, runs once from the origin, and ``per_restart``
-    holds that one run: ``iterations`` counts its pivots (at most
+    ``WhitePolynomial``, runs once, and ``per_restart`` holds the
+    engine's one run: ``iterations`` counts its pivots (at most
     ``max_iters``), and it converges when its certified duality gap is at
     most ``tol`` times one plus its value; see :class:`SolverConfig`.  On a
     flat optimal face of a ``WhitePolynomial`` problem the solve returns one
@@ -677,7 +671,7 @@ def solve(problem: SimultaneousProblem) -> SolveReport:
         problem.space, problem.targets, problem.g_basis.matrix, problem.b, problem.solver
     )[0]
     g_star = res.point
-    run = RestartResult([0.0] * problem.g_basis.k, res.value, res.iterations, res.converged)
+    run = RestartResult(res.value, res.iterations, res.converged)
     return SolveReport(g_star, objective(problem, g_star), res.converged, per_restart=[run])
 
 
@@ -985,7 +979,7 @@ def blend_check(
     lams = np.linspace(0.0, 1.0, 11) if lambdas is None else np.asarray(list(lambdas), dtype=float)
     if lams.size == 0:
         raise ValueError("lambdas must be nonempty")
-    if np.any(lams < 0.0) or np.any(lams > 1.0):
+    if not np.all((lams >= 0.0) & (lams <= 1.0)):  # NaN fails both
         raise ValueError("lambdas must lie in [0, 1]")
     v1 = objective(problem, g1v)
     v2 = objective(problem, g2v)
@@ -1006,7 +1000,6 @@ def blend_check(
 class UniquenessReport:
     distinct_optimizers: int
     spread: float
-    restarts: int
     values: list[float] = field(default_factory=list)
 
 
@@ -1015,8 +1008,11 @@ _CLUSTER_TOL = 1e-5
 
 
 def uniqueness_probe(problem: SimultaneousProblem, restarts: int = 16) -> UniquenessReport:
-    """The exact optimal set from :func:`_engine`; ``restarts`` is read by
-    no engine and set by no CLI flag, only validated and echoed.
+    """The exact optimal set from :func:`_engine`.
+
+    ``restarts`` is read by nothing.  It is kept only because the
+    benchmark's ``perfbench/worker.py`` passes ``restarts=16``, and it goes
+    when the benchmark stops passing it (ROADMAP item 7).
 
     On ``EuclideanGram`` the squared objective is strictly convex in x = R c
     (the parallelogram law in the second slot), and R is nonsingular since
@@ -1029,14 +1025,12 @@ def uniqueness_probe(problem: SimultaneousProblem, restarts: int = 16) -> Unique
     points at least ``_CLUSTER_TOL`` under p_b from every point before them,
     and ``spread`` is their largest pairwise p_b distance.
     """
-    if restarts < 2:
-        raise ValueError(f"restarts must be >= 2, got {restarts}")
     _require_solvable(problem)
     points = _engine(
         problem.space, problem.targets, problem.g_basis.matrix, problem.b, problem.solver, True
     )
     if len(points) == 1:
-        return UniquenessReport(1, 0.0, restarts, [points[0].value])
+        return UniquenessReport(1, 0.0, [points[0].value])
     elements = np.array([r.point for r in points])
     i, j = np.triu_indices(len(points), 1)
     dists = two_norm_rows(problem.space, elements[i] - elements[j], problem.b[None, :])
@@ -1045,6 +1039,5 @@ def uniqueness_probe(problem: SimultaneousProblem, restarts: int = 16) -> Unique
     return UniquenessReport(
         distinct_optimizers=int(np.sum(~near.any(axis=0))),
         spread=float(dists.max()),
-        restarts=restarts,
         values=[r.value for r in points],
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import Optional, Sequence
 
 from . import approx, jsonio, sequences, spaces
@@ -98,7 +99,8 @@ def _cmd_check_axioms(args) -> int:
 
 
 def _overridden_solver(problem, args) -> approx.SolverConfig:
-    return jsonio.apply_solver_overrides(problem.solver, tol=args.tol, max_iters=args.max_iters)
+    flags = {"tol": args.tol, "max_iters": args.max_iters}
+    return replace(problem.solver, **{k: v for k, v in flags.items() if v is not None})
 
 
 def _convergence_exit(converged: bool) -> int:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import fields, is_dataclass, replace
+from dataclasses import fields, is_dataclass
 from typing import Any, Optional
 
 import numpy as np
@@ -210,10 +210,7 @@ def space_from_dict(obj: Any, field: str = "space") -> SpaceSpec:
 
 
 # The solver keys of a problem file and their parsers, in validation order.
-_SOLVER_KEYS = {
-    **dict.fromkeys(("max_iters", "restarts", "seed"), _as_int),
-    **dict.fromkeys(("tol", "step0"), _as_number),
-}
+_SOLVER_KEYS = {"max_iters": _as_int, "tol": _as_number}
 
 
 def solver_from_dict(obj: Any, field: str = "solver") -> SolverConfig:
@@ -282,8 +279,3 @@ def sequence_from_dict(
         raise ValidationError("sequence", str(exc)) from exc
     return space, seq, limit, probe_dirs
 
-
-def apply_solver_overrides(cfg: SolverConfig, **overrides: Any) -> SolverConfig:
-    """Replace solver options with explicitly provided flag values."""
-    provided = {k: v for k, v in overrides.items() if v is not None}
-    return replace(cfg, **provided) if provided else cfg

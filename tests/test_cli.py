@@ -1,7 +1,9 @@
 """End-to-end command line tests; reports must be JSON on every exit path."""
 
+import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -13,6 +15,7 @@ import pytest
 from pairnorm import (
     EuclideanGram,
     SequencePrefix,
+    SolverConfig,
     certificate,
     certificate_soundness,
     check_axioms,
@@ -21,6 +24,7 @@ from pairnorm import (
     norm_limit_check,
     shift_identity_check,
 )
+import pairnorm.jsonio as jsonio
 import pairnorm.spaces as spaces
 from pairnorm.jsonio import dumps, space_from_dict, to_dict
 
@@ -31,10 +35,10 @@ SYMMETRIC_PROBLEM = {
     "targets": [[1, 0, 0], [-1, 0, 0]],
     "g_basis": [[1, 0, 0]],
     "b": [0, 0, 1],
-    "solver": {"seed": 0, "restarts": 4, "step0": 0.5},
+    "solver": {"max_iters": 500},
 }
 
-# a White problem whose restarts need more than five pivots
+# a White problem whose solve needs more than five pivots
 WHITE_PIVOTS_PROBLEM = {
     "space": {"kind": "white_polynomial", "degree": 3, "points": [0, 0.2, 0.4, 0.6, 0.8, 1]},
     "targets": [[3.2, 3.5, -0.3, 0.1], [2.8, 3.1, 0.4, -0.2]],
@@ -104,9 +108,9 @@ def test_solve_symmetric_example(tmp_path, capsys):
     assert abs(out["value"] - 1.0) <= 1e-6
     assert max(abs(c) for c in out["g_star"]) <= 1e-5
     assert out["converged"] is True
-    assert len(out["per_restart"]) == 1
-    # file keys that no engine reads are still parsed, validated and echoed
-    assert (out["solver"]["seed"], out["solver"]["restarts"], out["solver"]["step0"]) == (0, 4, 0.5)
+    # the engine's one run, and the two solver options it read
+    assert [list(r) for r in out["per_restart"]] == [["value", "iterations", "converged"]]
+    assert out["solver"] == {"max_iters": 500, "tol": 1e-6}
 
 
 def test_solve_missing_file(capsys):
@@ -120,7 +124,29 @@ def test_solve_flag_overrides(tmp_path, capsys):
     path = write(tmp_path, "problem.json", payload)
     code, out, _ = run_cli(capsys, "solve", path, "--tol", "1e-8", "--max-iters", "7")
     assert code == 0
-    assert out["solver"] == {"max_iters": 7, "tol": 1e-8, "restarts": 4, "seed": 0, "step0": 0.5}
+    assert out["solver"] == {"max_iters": 7, "tol": 1e-8}
+    # a flag left unset keeps the file's value, and a key the file leaves out its default
+    code, out, _ = run_cli(capsys, "solve", path, "--tol", "1e-8")
+    assert code == 0
+    assert out["solver"] == {"max_iters": 500, "tol": 1e-8}
+    path = write(tmp_path, "defaults.json", {**SYMMETRIC_PROBLEM, "solver": {"tol": 1e-3}})
+    code, out, _ = run_cli(capsys, "solve", path, "--max-iters", "7")
+    assert code == 0
+    assert out["solver"] == {"max_iters": 7, "tol": 1e-3}
+
+
+# restarts, seed and step0 are read by no engine, so a file that sets one fails
+# before any solve, step0 = 1e400 (which JSON reads as inf) included
+@pytest.mark.parametrize("command", ["solve", "distance", "uniqueness"])
+@pytest.mark.parametrize("key, text", [("restarts", "4"), ("seed", "0"), ("step0", "1e400")])
+def test_retired_solver_keys_are_validation_errors(tmp_path, capsys, command, key, text):
+    path = tmp_path / "point.json"
+    body = json.dumps({**POINT_PROBLEM, "solver": {key: None}})
+    path.write_text(body.replace(f'"{key}": null', f'"{key}": {text}'), encoding="utf-8")
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 1
+    assert out == {"error": {"field": f"solver.{key}", "message": "unknown solver option"}}
+    assert "Traceback" not in err
 
 
 # no engine reads a restart count or a seed, so no flag sets one
@@ -157,6 +183,13 @@ def test_cli_option_set():
         "sequence": ["--tail-from"],
     }
     assert sum(map(len, options.values())) == 14
+
+
+def test_solver_config_surface():
+    # every solver knob: a new field or file key is a visible change
+    names = [f.name for f in dataclasses.fields(SolverConfig)]
+    assert names == ["max_iters", "tol"]
+    assert list(jsonio._SOLVER_KEYS) == names
 
 
 def test_solve_nonconvergence_exit(tmp_path, capsys):
@@ -203,7 +236,7 @@ def test_distance_nonconvergence_exit(tmp_path, capsys):
         "targets": [[3.2, 3.5, -0.3]],
         "g_basis": [[1, 1, 0]],
         "b": [0, 0.4, 1],
-        "solver": {"max_iters": 1, "restarts": 1},
+        "solver": {"max_iters": 1},
     }
     path = write(tmp_path, "point.json", payload)
     code, out, err = run_cli(capsys, "distance", path)
@@ -272,6 +305,19 @@ def test_blend_mismatched_endpoints(tmp_path, capsys):
     assert "error" in out
 
 
+def test_blend_nan_lambda_blames_lambdas(tmp_path, capsys):
+    # JSON readers accept NaN, which fails both range comparisons; the error
+    # names the lambdas, not the blended point g
+    blend = {"g1": [0, 0, 0], "g2": [0, 0, 0], "lambdas": [math.nan]}
+    payload = dict(SYMMETRIC_PROBLEM, blend=blend)
+    path = tmp_path / "blend.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    code, out, err = run_cli(capsys, "blend", str(path))
+    assert code == 1
+    assert out == {"error": {"message": "lambdas must lie in [0, 1]"}}
+    assert "Traceback" not in err
+
+
 # Every tol is positive and finite: inf did the work and then failed to
 # print it, nan gave a wrong verdict (exit 3) and -1 blamed the endpoints.
 @pytest.mark.parametrize(
@@ -309,8 +355,7 @@ def test_uniqueness_subcommand(tmp_path, capsys):
     path = write(tmp_path, "problem.json", SYMMETRIC_PROBLEM)
     code, out, _ = run_cli(capsys, "uniqueness", path)
     assert code == 0
-    assert out["distinct_optimizers"] == 1
-    assert out["restarts"] == 16
+    assert out == {"distinct_optimizers": 1, "spread": 0.0, "values": [1.0]}
 
 
 def test_sequence_subcommand(tmp_path, capsys):
@@ -555,12 +600,12 @@ GOLDEN = {
         "d795967f50a520d92139b677de51bf38c63053255e0c7fd3780035fb7d45ae0b",
     ),
     "solve-euclid": (
-        "solve", [], golden_problem(EUCLID6, 6, 3, 2), 0, 462,
-        "417ab01ade0d3292c40b85bbf92e9393a6499401ccdbc67fad8e0f40275f47ea",
+        "solve", [], golden_problem(EUCLID6, 6, 3, 2), 0, 389,
+        "ca5b86d16dd4188390543657a203f834f25f618d76331994f194363983f61642",
     ),
     "solve-oracle-euclid": (
-        "solve", ORACLE_FLAGS, golden_problem(EUCLID6, 6, 3, 2), 0, 697,
-        "818db0fe31751e01d5c96fdb145e0a5116896286b42d2ab3c1e2639b981d2360",
+        "solve", ORACLE_FLAGS, golden_problem(EUCLID6, 6, 3, 2), 0, 624,
+        "11fea6711726e2feec19a8c1f68d7811ac76e2ebbb93b6e3c4ad31bce85fb463",
     ),
     "distance-euclid": (
         "distance", [], golden_problem(EUCLID6, 6, 1, 2), 0, 180,
@@ -571,20 +616,20 @@ GOLDEN = {
         "bb2233a1c7cd27f3c293aebf81e702967c46525e697f3c353928c5ededb1590e",
     ),
     "uniqueness-euclid": (
-        "uniqueness", [], golden_problem(EUCLID6, 6, 3, 2), 0, 96,
-        "51412fd0ddfdd46101869bd1806e5151b9bfd76ad190a19b4072427fc4d27997",
+        "uniqueness", [], golden_problem(EUCLID6, 6, 3, 2), 0, 78,
+        "881e19a685cb71b86ddc431efdff6190945d73ee1e4e8fdb6439abc8160bb75a",
     ),
     "blend-euclid": (
         "blend", [], golden_problem(EUCLID6, 6, 3, 2), 0, 1097,
         "f9058a005bc75b7f00e86f6db84a432d59cb49d94063fcdaaa1053fb70e905b1",
     ),
     "solve-white": (
-        "solve", [], golden_problem(WHITE5, 6, 3, 2), 0, 460,
-        "38a55fbe4b100f68495139a9aad3ba849f18b9c216683e303d35a546cfb0890c",
+        "solve", [], golden_problem(WHITE5, 6, 3, 2), 0, 387,
+        "174776ee6e0f098f81c93267a413e00b3e4fd1c1727d15527fedf1ae35f5131e",
     ),
     "solve-oracle-white": (
-        "solve", ORACLE_FLAGS, golden_problem(WHITE5, 6, 3, 2), 0, 677,
-        "8153703a704165c9c4ddc898a50dad01bfc123e6a6bbc4512b8e9bf684dee777",
+        "solve", ORACLE_FLAGS, golden_problem(WHITE5, 6, 3, 2), 0, 604,
+        "439b32f8900a38ad2d568a1d1e4f8b999029db23df4df2cf1e5f70f18abca54a",
     ),
     "distance-white": (
         "distance", [], golden_problem(WHITE5, 6, 1, 2), 0, 174,
@@ -595,8 +640,8 @@ GOLDEN = {
         "a7f3b8b2a43795e8d212497c3e05edfb74086ee454be33b8067b77b95431788c",
     ),
     "uniqueness-white": (
-        "uniqueness", [], golden_problem(WHITE5, 6, 3, 2), 0, 178,
-        "133d2b879067ee65ddebd4ecbcfad78983d22a18777c2bdabd8ef7c927cb7971",
+        "uniqueness", [], golden_problem(WHITE5, 6, 3, 2), 0, 160,
+        "50b468f2cc5e3d9277e942a18d719ad8bad94eeea4e9b965feca5fdc2281a398",
     ),
     "blend-white": (
         "blend", [], golden_problem(WHITE5, 6, 3, 2), 0, 1097,

@@ -9,7 +9,6 @@ from pairnorm import EuclideanGram, SolverConfig, WhitePolynomial
 from pairnorm.approx import BlendEntry, BlendReport, CertificateSoundness
 from pairnorm.jsonio import (
     ValidationError,
-    apply_solver_overrides,
     dumps,
     load_json,
     problem_from_dict,
@@ -24,7 +23,7 @@ PROBLEM = {
     "targets": [[2, 0, 0], [0, 2, 0]],
     "g_basis": [[1, 0, 0], [0, 1, 0]],
     "b": [0, 0, 1],
-    "solver": {"seed": 3, "restarts": 2},
+    "solver": {"max_iters": 500},
 }
 
 
@@ -133,7 +132,7 @@ def test_space_invalid_values_are_validation_errors():
 
 
 def test_solver_roundtrip():
-    cfg = SolverConfig(max_iters=500, tol=1e-7, restarts=3, seed=9, step0=0.5)
+    cfg = SolverConfig(max_iters=500, tol=1e-7)
     assert solver_from_dict(to_dict(cfg)) == cfg
 
 
@@ -148,9 +147,8 @@ def test_problem_parsing():
     assert problem.space == EuclideanGram(3)
     assert problem.targets.shape == (2, 3)
     assert problem.g_basis.k == 2
-    assert problem.solver.seed == 3
-    assert problem.solver.restarts == 2
-    assert problem.solver.max_iters == 20000  # default preserved
+    assert problem.solver.max_iters == 500
+    assert problem.solver.tol == 1e-6  # default preserved
 
 
 def test_problem_with_blend_section():
@@ -215,15 +213,6 @@ def test_sequence_bad_probes():
     }
     with pytest.raises(ValidationError, match="probes"):
         sequence_from_dict(data)
-
-
-def test_apply_solver_overrides():
-    cfg = SolverConfig()
-    out = apply_solver_overrides(cfg, seed=7, tol=None, restarts=2)
-    assert out.seed == 7
-    assert out.restarts == 2
-    assert out.tol == cfg.tol
-    assert apply_solver_overrides(cfg) is cfg
 
 
 def test_load_json_errors(tmp_path):
